@@ -16,6 +16,13 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> perfbench: build + unit tests"
+# The benchmark is a package of its own outside the workspace, linking
+# the pool and trainer APIs by path. Building and unit-testing it here
+# makes an API break fail CI instead of surfacing only when the
+# benchmark pipeline runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke: traced table1_delay + trace validation + audit"
 # Run from a scratch directory: the smoke run's reduced-scale CSVs and
 # trace must not clobber the full-scale artifacts tracked in results/.

@@ -22,8 +22,6 @@ use std::time::Instant;
 
 use detrand::Rng;
 use helcfl_bench::json::JsonObject;
-use tinynn::batch::{CohortArena, CohortJob};
-use tinynn::model::{Mlp, TrainScratch};
 use tinynn::tensor::Matrix;
 
 /// ReLU-like sparsity applied to the left operand of the kernels that
@@ -40,10 +38,6 @@ const FLOP_BUDGET: f64 = 2.0e9;
 /// timer noise dominates; a timed warmup scales the iteration count up
 /// until at least this much wall clock is sampled.
 const MIN_BENCH_SECS: f64 = 0.25;
-
-/// Clients per grouped dispatch in the cohort section — one pool
-/// worker's share of a 64-client round on an 8-way host.
-const COHORT_CLIENTS: usize = 8;
 
 struct Args {
     smoke: bool,
@@ -98,9 +92,16 @@ struct Bench<'a> {
     run: Box<dyn FnMut() + 'a>,
 }
 
+/// Times `b` over a calibrated iteration count and returns
+/// `(iters, mean seconds per iteration, GFLOP/s)`.
 fn time_bench(b: &mut Bench<'_>, budget: f64, min_secs: f64) -> (usize, f64, f64) {
     let flops = 2.0 * b.m as f64 * b.k as f64 * b.n as f64;
-    let (iters, secs) = time_closure(&mut b.run, budget / flops, min_secs);
+    let iters = calibrated_iters(&mut b.run, budget / flops, min_secs);
+    let started = Instant::now();
+    for _ in 0..iters {
+        (b.run)();
+    }
+    let secs = started.elapsed().as_secs_f64() / iters as f64;
     (iters, secs, flops / secs / 1e9)
 }
 
@@ -115,21 +116,6 @@ fn calibrated_iters(run: &mut (dyn FnMut() + '_), budget_iters: f64, min_secs: f
     let t_est = est.elapsed().as_secs_f64().max(1e-9);
     let from_time = (min_secs / t_est) as usize;
     (budget_iters as usize).max(from_time).max(4)
-}
-
-/// Times `run` over a calibrated iteration count and returns
-/// `(iters, mean seconds per iteration)`.
-fn time_closure(
-    run: &mut (dyn FnMut() + '_),
-    budget_iters: f64,
-    min_secs: f64,
-) -> (usize, f64) {
-    let iters = calibrated_iters(run, budget_iters, min_secs);
-    let started = Instant::now();
-    for _ in 0..iters {
-        run();
-    }
-    (iters, started.elapsed().as_secs_f64() / iters as f64)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -260,63 +246,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kernels.push(k);
     }
 
-    // Cohort batching: one pool worker's stride of a full-batch round —
-    // K identical-architecture clients trained solo (per-client
-    // dispatch) vs through one grouped `CohortArena` call. Both paths
-    // produce bit-identical parameters (pinned in tinynn's and
-    // fl-sim's tests); the delta is pure dispatch/packing amortization.
-    let dims = [64usize, 64, 10];
-    let client_data: Vec<(Matrix, Vec<usize>)> = (0..COHORT_CLIENTS)
-        .map(|_| {
-            let features = random_matrix(200, 64, &mut rng);
-            let labels: Vec<usize> =
-                (0..200).map(|_| rng.below(10)).collect();
-            (features, labels)
-        })
-        .collect();
-    let global = Mlp::new(&dims, 7).expect("mlp").parameters();
-    let mut solo_model = Mlp::new(&dims, 0).expect("mlp");
-    let mut solo_scratch = TrainScratch::for_model(&solo_model).expect("scratch");
-    let mut solo = || {
-        for (features, labels) in &client_data {
-            solo_model.set_parameters(&global).expect("params");
-            solo_model
-                .train_step_with(features, labels, 0.05, &mut solo_scratch)
-                .expect("step");
-            // The engine's solo path uploads each client's updated
-            // parameters; charge the same flat-vector extraction here.
-            std::hint::black_box(solo_model.parameters());
-        }
-    };
-    // Calibrate on time alone (budget 0): one iteration is K full
-    // local steps, far more work than a single kernel call.
-    let (solo_iters, solo_secs) = time_closure(&mut solo, 0.0, min_secs);
-    let mut arena = CohortArena::new(&dims).expect("arena");
-    let jobs: Vec<CohortJob<'_>> = client_data
-        .iter()
-        .map(|(features, labels)| CohortJob { features, labels })
-        .collect();
-    let mut cohort = || {
-        std::hint::black_box(arena.train(&jobs, &global, 0.05, 1).expect("cohort"));
-    };
-    let (cohort_iters, cohort_secs) = time_closure(&mut cohort, 0.0, min_secs);
-    let solo_us = solo_secs * 1e6 / COHORT_CLIENTS as f64;
-    let cohort_us = cohort_secs * 1e6 / COHORT_CLIENTS as f64;
-    println!(
-        "  cohort x{COHORT_CLIENTS} [64,64,10]:      solo {solo_us:7.1} µs/client, \
-         grouped {cohort_us:7.1} µs/client ({:.2}x)",
-        solo_us / cohort_us
-    );
-    let mut cohort_section = JsonObject::new();
-    cohort_section
-        .field("clients", COHORT_CLIENTS)
-        .field("batch_rows", 200usize)
-        .field("solo_iters", solo_iters)
-        .field("cohort_iters", cohort_iters)
-        .field("solo_us_per_client", solo_us)
-        .field("cohort_us_per_client", cohort_us)
-        .field("speedup", solo_us / cohort_us);
-
     let mut host = JsonObject::new();
     host.field(
         "available_parallelism",
@@ -329,8 +258,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field("smoke", args.smoke)
         .field("seed", args.seed)
         .object("host", host)
-        .field("kernels", kernels)
-        .object("cohort", cohort_section);
+        .field("kernels", kernels);
 
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)?;

@@ -1,5 +1,5 @@
-//! Deterministic worker fan-out for the round engine: a persistent
-//! pool plus scoped-thread utilities.
+//! Deterministic worker fan-out for the round engine: a persistent,
+//! run-scoped training/evaluation pool.
 //!
 //! Built entirely on `std` — threads, mutexes, and condvars; no
 //! external threadpool. Two properties make parallel training
@@ -14,25 +14,22 @@
 //!    index-addressed slots and reduced in item order on the calling
 //!    thread, never in completion order.
 //!
-//! The round engine's fan-out is the **persistent pool**
-//! ([`with_trainer_pool`]): worker threads are spawned once per run
-//! and parked on a condvar between jobs, so the thousands of
+//! The pool ([`with_trainer_pool`]) spawns its worker threads once per
+//! run and parks them on a condvar between jobs, so the thousands of
 //! train/eval dispatches of a full simulation cost two mutex hops
-//! each instead of an OS thread spawn. The scoped-thread one-shots
-//! ([`parallel_map_pooled`], [`evaluate_chunked`]) remain as
-//! general-purpose utilities and as the reference implementation the
-//! pool is tested against.
+//! each instead of an OS thread spawn. With one worker it spawns
+//! nothing and runs every job inline on the calling thread, through
+//! the same per-item executor the workers use.
 //!
 //! The worker count comes from [`worker_threads`]: an explicit config
 //! value, else the `HELCFL_THREADS` environment variable, else
 //! [`std::thread::available_parallelism`].
 
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use detrand::Rng;
 use helcfl_telemetry::{Class, MetricsRegistry, Telemetry};
-use tinynn::model::Mlp;
 
 use crate::client::{Client, ClientTrainer, LocalUpdateSpec, EVAL_CHUNK_ROWS};
 use crate::dataset::LabeledSet;
@@ -67,170 +64,10 @@ pub fn worker_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Maps `f` over `0..num_items`, fanning the indices out over one
-/// worker per `pool` slot (strided assignment) and returning the
-/// results in index order. Each worker exclusively owns one `&mut S`
-/// scratch slot for its whole stride; with a single slot (or a single
-/// item) everything runs on the calling thread.
-///
-/// # Errors
-///
-/// If any items fail, returns the error of the lowest-indexed failing
-/// item (deterministic regardless of completion order).
-///
-/// # Panics
-///
-/// Panics if `pool` is empty.
-pub fn parallel_map_pooled<S, R, F>(pool: &mut [S], num_items: usize, f: F) -> Result<Vec<R>>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> Result<R> + Sync,
-{
-    assert!(!pool.is_empty(), "worker pool must have at least one scratch slot");
-    if num_items == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = pool.len().min(num_items);
-    if workers == 1 {
-        let state = &mut pool[0];
-        return (0..num_items).map(|i| f(state, i)).collect();
-    }
-    let mut slots: Vec<Option<Result<R>>> = Vec::with_capacity(num_items);
-    slots.resize_with(num_items, || None);
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel();
-        for (wid, state) in pool.iter_mut().take(workers).enumerate() {
-            let tx = tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                for i in (wid..num_items).step_by(workers) {
-                    let out = f(state, i);
-                    if tx.send((i, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, out) in rx {
-            slots[i] = Some(out);
-        }
-    });
-    let mut results = Vec::with_capacity(num_items);
-    for slot in slots {
-        results.push(slot.expect("every index is assigned to exactly one worker")?);
-    }
-    Ok(results)
-}
-
-/// [`parallel_map_pooled`] with per-worker utilization telemetry.
-///
-/// With a disabled handle this delegates straight to the untraced
-/// fan-out (zero overhead). Otherwise each worker accumulates its own
-/// [`MetricsRegistry`] — no shared lock on the hot path — and the
-/// calling thread merges them **in worker-index order** after the
-/// scope closes, so the merged registry is a pure function of the item
-/// partition. All pool metrics are [`Class::Runtime`] (they measure
-/// wall clocks), so they never enter determinism comparisons. Names,
-/// under the given `label`:
-///
-/// * `{label}.worker{w}.items` / `.busy_ns` / `.idle_ns` (counters) —
-///   per-worker load split; idle is wall time minus busy time;
-/// * `{label}.item_us` (histogram) — per-item latency across all
-///   workers;
-/// * `{label}.workers` (gauge) — resolved fan-out width this call.
-///
-/// # Errors
-///
-/// Same conditions as [`parallel_map_pooled`].
-///
-/// # Panics
-///
-/// Panics if `pool` is empty.
-pub fn parallel_map_pooled_traced<S, R, F>(
-    pool: &mut [S],
-    num_items: usize,
-    f: F,
-    tele: &Telemetry,
-    label: &str,
-) -> Result<Vec<R>>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> Result<R> + Sync,
-{
-    if !tele.is_enabled() {
-        return parallel_map_pooled(pool, num_items, f);
-    }
-    assert!(!pool.is_empty(), "worker pool must have at least one scratch slot");
-    if num_items == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = pool.len().min(num_items);
-    tele.gauge_set(Class::Runtime, &format!("{label}.workers"), workers as f64);
-    let wall_start = Instant::now();
-    if workers == 1 {
-        let mut local = MetricsRegistry::new();
-        let state = &mut pool[0];
-        let results: Result<Vec<R>> = (0..num_items)
-            .map(|i| {
-                let t0 = Instant::now();
-                let out = f(state, i);
-                record_item(&mut local, label, 0, t0.elapsed());
-                out
-            })
-            .collect();
-        record_idle(&mut local, label, 1, wall_start.elapsed());
-        tele.merge_registry(&local);
-        return results;
-    }
-    let mut slots: Vec<Option<Result<R>>> = Vec::with_capacity(num_items);
-    slots.resize_with(num_items, || None);
-    let mut worker_metrics: Vec<MetricsRegistry> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::with_capacity(workers);
-        for (wid, state) in pool.iter_mut().take(workers).enumerate() {
-            let tx = tx.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut local = MetricsRegistry::new();
-                for i in (wid..num_items).step_by(workers) {
-                    let t0 = Instant::now();
-                    let out = f(state, i);
-                    record_item(&mut local, label, wid, t0.elapsed());
-                    if tx.send((i, out)).is_err() {
-                        break;
-                    }
-                }
-                local
-            }));
-        }
-        drop(tx);
-        for (i, out) in rx {
-            slots[i] = Some(out);
-        }
-        // Join in spawn (worker-index) order: the merge sequence —
-        // and therefore the merged registry — is fixed.
-        for handle in handles {
-            worker_metrics.push(handle.join().expect("worker panicked"));
-        }
-    });
-    let wall = wall_start.elapsed();
-    let mut merged = MetricsRegistry::new();
-    for local in &worker_metrics {
-        merged.merge_from(local);
-    }
-    record_idle(&mut merged, label, workers, wall);
-    tele.merge_registry(&merged);
-    let mut results = Vec::with_capacity(num_items);
-    for slot in slots {
-        results.push(slot.expect("every index is assigned to exactly one worker")?);
-    }
-    Ok(results)
-}
-
+/// Records one item's latency on lane `wid` under `label`: the
+/// `{label}.worker{wid}.items` / `.busy_ns` counters and the
+/// `{label}.item_us` histogram, all [`Class::Runtime`] — they measure
+/// wall clocks, so they never enter determinism comparisons.
 fn record_item(
     local: &mut MetricsRegistry,
     label: &str,
@@ -243,7 +80,7 @@ fn record_item(
     local.record(Class::Runtime, &format!("{label}.item_us"), took.as_secs_f64() * 1e6);
 }
 
-/// Derives per-worker idle time (scope wall-clock minus busy time) —
+/// Derives per-worker idle time (job wall-clock minus busy time) —
 /// runnable only after every worker's busy counter is merged.
 fn record_idle(
     merged: &mut MetricsRegistry,
@@ -262,42 +99,6 @@ fn record_idle(
     }
 }
 
-/// Evaluates `model` on `set` — `(mean loss, accuracy)` — by scoring
-/// fixed [`EVAL_CHUNK_ROWS`]-row blocks across the worker pool and
-/// reducing per-block sums in block order. The block size is a
-/// constant (never derived from the pool size), so the result is
-/// bit-identical for every worker count, including 1.
-///
-/// # Errors
-///
-/// Propagates shape errors and rejects an empty set.
-pub fn evaluate_chunked(
-    model: &Mlp,
-    set: &LabeledSet,
-    pool: &mut [ClientTrainer],
-) -> Result<(f32, f64)> {
-    let n = set.len();
-    if n == 0 {
-        return Err(FlError::InvalidConfig {
-            field: "eval_set",
-            reason: "cannot evaluate on an empty set".into(),
-        });
-    }
-    let chunks = n.div_ceil(EVAL_CHUNK_ROWS);
-    let partials = parallel_map_pooled(pool, chunks, |trainer, c| {
-        let start = c * EVAL_CHUNK_ROWS;
-        let len = EVAL_CHUNK_ROWS.min(n - start);
-        trainer.eval_chunk(model, set, start, len)
-    })?;
-    let mut loss_sum = 0.0f64;
-    let mut correct = 0usize;
-    for (l, c) in partials {
-        loss_sum += l;
-        correct += c;
-    }
-    Ok(((loss_sum / n as f64) as f32, correct as f64 / n as f64))
-}
-
 /// Locks a pool mutex, ignoring poisoning: a panicked worker leaves
 /// consistent state behind (slot writes are all-or-nothing per job),
 /// and the dispatcher turns the missing slot into its own panic — on
@@ -309,20 +110,19 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One broadcast unit of pool work. Jobs own their inputs (broadcast
 /// parameters, item lists) so the shared state carries no borrows; the
-/// per-item closure logic lives in [`run_item`], keyed by variant.
+/// per-item logic lives in [`run_item`], keyed by variant.
 enum Job {
     /// One round's local updates: item `j` trains
     /// `clients[client_indices[j]]` from `global` with the per-client
-    /// RNG stream keyed by `(round, client id)` — exactly the closure
-    /// the scoped-thread engine ran.
+    /// RNG stream keyed by `(round, client id)`. With a `trace_label`,
+    /// each item's latency is recorded under it.
     Train {
         round: usize,
         train_seed: u64,
         spec: LocalUpdateSpec,
         global: Vec<f32>,
         client_indices: Vec<usize>,
-        label: String,
-        traced: bool,
+        trace_label: Option<String>,
     },
     /// Whole-eval-set scoring of a parameter vector: item `c` scores
     /// the fixed [`EVAL_CHUNK_ROWS`]-row block `c` of the eval set.
@@ -336,6 +136,13 @@ impl Job {
             Job::Eval { set_len, .. } => set_len.div_ceil(EVAL_CHUNK_ROWS),
         }
     }
+
+    fn trace_label(&self) -> Option<&str> {
+        match self {
+            Job::Train { trace_label, .. } => trace_label.as_deref(),
+            Job::Eval { .. } => None,
+        }
+    }
 }
 
 /// A completed item's payload, matching the [`Job`] variant.
@@ -346,48 +153,11 @@ enum JobOut {
     Eval(f64, usize),
 }
 
-/// Whether a job may take the grouped cohort path: only full-batch
-/// train jobs qualify. Minibatch updates consume the per-client RNG
-/// stream, which grouping cannot reproduce.
-fn cohort_eligible(job: &Job) -> bool {
-    matches!(job, Job::Train { spec, .. } if spec.batch_size == 0)
-}
+/// Index-addressed results of one job, one slot per item. A slot left
+/// `None` belongs to a worker that panicked.
+type Slots = Vec<Option<Result<JobOut>>>;
 
-/// Runs a worker's whole item stride of a full-batch train job as one
-/// grouped cohort dispatch ([`ClientTrainer::local_update_cohort`]),
-/// returning each item's output in stride order. Per-item results are
-/// bit-identical to [`run_item`] on the same items; only the kernel
-/// grouping differs.
-///
-/// # Errors
-///
-/// Propagates training errors without per-item attribution — the
-/// caller falls back to solo [`run_item`] execution so the reported
-/// error is still the lowest-indexed failing item's.
-fn run_train_cohort(
-    job: &Job,
-    items: &[usize],
-    trainer: &mut ClientTrainer,
-    clients: &[Client],
-) -> Result<Vec<JobOut>> {
-    let Job::Train { spec, global, client_indices, .. } = job else {
-        unreachable!("cohort dispatch is only for train jobs");
-    };
-    let cohort: Vec<&Client> = items.iter().map(|&i| &clients[client_indices[i]]).collect();
-    let outs = trainer.local_update_cohort(&cohort, global, spec)?;
-    Ok(outs
-        .into_iter()
-        .zip(&cohort)
-        .map(|((params, loss), client)| {
-            JobOut::Train(params, client.num_samples() as f64, loss)
-        })
-        .collect())
-}
-
-/// Runs one item of `job` on a worker's trainer — the reference
-/// execution every mode reduces to: the inline path, the worker
-/// threads, and the error-attribution fallback of the cohort path all
-/// call it, so the modes cannot drift.
+/// Runs one item of `job` on a worker's trainer.
 fn run_item(
     job: &Job,
     item: usize,
@@ -410,6 +180,35 @@ fn run_item(
             Ok(JobOut::Eval(loss, correct))
         }
     }
+}
+
+/// Runs `items` of `job` in order on one trainer as lane `wid` — the
+/// executor both pool modes share: inline mode runs every item on the
+/// calling thread as lane 0, and each pooled worker runs its stride.
+/// Every item runs even after one fails, so the caller can report the
+/// lowest-indexed error. Returns `(item, result)` pairs in stride
+/// order, plus the lane's per-item telemetry when the job is traced.
+fn run_stride(
+    job: &Job,
+    items: impl Iterator<Item = usize>,
+    wid: usize,
+    trainer: &mut ClientTrainer,
+    clients: &[Client],
+    eval_set: &LabeledSet,
+) -> (Vec<(usize, Result<JobOut>)>, Option<MetricsRegistry>) {
+    let label = job.trace_label();
+    let mut metrics = label.map(|_| MetricsRegistry::new());
+    let produced = items
+        .map(|item| {
+            let started = Instant::now();
+            let out = run_item(job, item, trainer, clients, eval_set);
+            if let (Some(local), Some(label)) = (&mut metrics, label) {
+                record_item(local, label, wid, started.elapsed());
+            }
+            (item, out)
+        })
+        .collect();
+    (produced, metrics)
 }
 
 /// Dispatcher ⇄ worker handshake state, guarded by one mutex.
@@ -435,14 +234,14 @@ struct PoolShared {
     done_cv: Condvar,
     /// Index-addressed results of the current job; workers batch-write
     /// their stride's slots once per job.
-    slots: Mutex<Vec<Option<Result<JobOut>>>>,
+    slots: Mutex<Slots>,
     /// Per-worker metric registries of the current traced job, merged
     /// by the dispatcher in worker-index order.
     metrics: Mutex<Vec<Option<MetricsRegistry>>>,
 }
 
 /// Decrements `remaining` and wakes the dispatcher — on a `Drop` so a
-/// panicking worker still signals completion (its slot stays `None`,
+/// panicking worker still signals completion (its slots stay `None`,
 /// which the dispatcher reports as a worker panic) instead of leaving
 /// the dispatcher parked forever.
 struct DoneGuard<'p> {
@@ -475,10 +274,9 @@ impl Drop for ShutdownGuard<'_> {
 }
 
 /// A pool worker: parks on `work_cv`, and for each observed epoch runs
-/// its `(wid..n).step_by(eff)` stride of the job — the identical item
-/// partition the scoped-thread fan-out used, so per-worker metric
-/// registries partition the same way. Workers beyond the job's
-/// effective width sit the epoch out.
+/// its `(wid..n).step_by(eff)` stride of the job through
+/// [`run_stride`]. Workers beyond the job's effective width sit the
+/// epoch out.
 fn worker_loop(
     wid: usize,
     workers: usize,
@@ -510,57 +308,24 @@ fn worker_loop(
             continue; // `remaining` only counts participants
         }
         let _done = DoneGuard { shared };
-        let (label, traced) = match &*job {
-            Job::Train { label, traced, .. } => (label.as_str(), *traced),
-            Job::Eval { .. } => ("", false),
-        };
-        let mut local = if traced { Some(MetricsRegistry::new()) } else { None };
-        let stride: Vec<usize> = (wid..num_items).step_by(eff).collect();
-        let mut produced: Vec<(usize, Result<JobOut>)> = Vec::with_capacity(stride.len());
-        let mut solo = true;
-        if cohort_eligible(&job) && stride.len() > 1 {
-            let started = Instant::now();
-            if let Ok(outs) = run_train_cohort(&job, &stride, &mut trainer, clients) {
-                // One grouped dispatch covered the whole stride:
-                // telemetry attributes the elapsed time evenly so the
-                // item histogram still counts one entry per item.
-                let per_item = started.elapsed() / stride.len() as u32;
-                for (&item, out) in stride.iter().zip(outs) {
-                    if let Some(metrics) = &mut local {
-                        record_item(metrics, label, wid, per_item);
-                    }
-                    produced.push((item, Ok(out)));
-                }
-                solo = false;
-            }
-            // On error, fall back to solo runs: bit-identical work,
-            // and the failing item reports its own error.
-        }
-        if solo {
-            for &item in &stride {
-                let started = Instant::now();
-                let out = run_item(&job, item, &mut trainer, clients, eval_set);
-                if let Some(metrics) = &mut local {
-                    record_item(metrics, label, wid, started.elapsed());
-                }
-                produced.push((item, out));
-            }
-        }
+        let stride = (wid..num_items).step_by(eff);
+        let (produced, metrics) = run_stride(&job, stride, wid, &mut trainer, clients, eval_set);
         {
             let mut slots = lock(&shared.slots);
             for (item, out) in produced {
                 slots[item] = Some(out);
             }
         }
-        if let Some(metrics) = local {
-            lock(&shared.metrics)[wid] = Some(metrics);
+        if metrics.is_some() {
+            lock(&shared.metrics)[wid] = metrics;
         }
     }
 }
 
 /// Publishes `job` to the workers, parks until all `eff` participants
-/// finish, and returns the filled slot vector.
-fn dispatch(shared: &PoolShared, job: Job, eff: usize) -> Vec<Option<Result<JobOut>>> {
+/// finish, and returns the filled slots plus the participants'
+/// telemetry lanes in worker-index order.
+fn dispatch(shared: &PoolShared, job: Job, eff: usize) -> (Slots, Vec<MetricsRegistry>) {
     let num_items = job.num_items();
     {
         let mut slots = lock(&shared.slots);
@@ -579,13 +344,14 @@ fn dispatch(shared: &PoolShared, job: Job, eff: usize) -> Vec<Option<Result<JobO
         state = shared.done_cv.wait(state).unwrap_or_else(PoisonError::into_inner);
     }
     drop(state);
-    std::mem::take(&mut *lock(&shared.slots))
+    let lanes = lock(&shared.metrics).iter_mut().take(eff).filter_map(Option::take).collect();
+    (std::mem::take(&mut *lock(&shared.slots)), lanes)
 }
 
 /// How a [`TrainerPool`] executes jobs.
 enum PoolMode<'p> {
     /// Single worker: everything runs on the calling thread with one
-    /// trainer — no threads, no locks, exactly the old serial path.
+    /// trainer — no threads, no locks.
     Inline(Box<ClientTrainer>),
     /// Persistent workers parked behind the shared state.
     Pooled(&'p PoolShared),
@@ -594,13 +360,13 @@ enum PoolMode<'p> {
 /// A persistent, run-scoped training/evaluation pool.
 ///
 /// Created by [`with_trainer_pool`]; lives for one `run_federated`
-/// call and serves every round's train fan-out **and** eval fan-out
-/// from the same parked worker threads. Dispatch preserves the scoped
-/// fan-out's contract exactly — strided item assignment, item-order
-/// reduction, lowest-indexed-error-wins — so histories, Sim-class
-/// metric registries, and the per-worker Runtime telemetry are
-/// unchanged; only the per-call thread spawns are gone (counted by the
-/// `pool.spawn_amortized` Runtime counter).
+/// call and serves every round's train fan-out **and** eval fan-out.
+/// Both modes run items through one executor, `run_stride`: inline
+/// mode over the whole job on the calling thread, pooled mode over
+/// strided item assignments on parked worker threads. Results are
+/// reduced in item order and the lowest-indexed error wins, so
+/// histories and Sim-class metric registries are identical for every
+/// worker count.
 pub struct TrainerPool<'p> {
     clients: &'p [Client],
     eval_set: &'p LabeledSet,
@@ -615,21 +381,44 @@ impl TrainerPool<'_> {
         self.workers
     }
 
+    /// Runs `job` over `eff` lanes — inline on the calling thread, or
+    /// on the parked workers — returning its item slots and the lanes'
+    /// telemetry in lane order. Pooled dispatches add `eff` to the
+    /// `pool.spawn_amortized` Runtime counter: the thread spawns the
+    /// persistent pool avoided.
+    fn run(&mut self, job: Job, eff: usize, tele: &Telemetry) -> (Slots, Vec<MetricsRegistry>) {
+        match &mut self.mode {
+            PoolMode::Inline(trainer) => {
+                let (produced, metrics) =
+                    run_stride(&job, 0..job.num_items(), 0, trainer, self.clients, self.eval_set);
+                let slots = produced.into_iter().map(|(_, out)| Some(out)).collect();
+                (slots, metrics.into_iter().collect())
+            }
+            PoolMode::Pooled(shared) => {
+                let out = dispatch(shared, job, eff);
+                tele.with_metrics(|m| {
+                    m.counter_add(Class::Runtime, "pool.spawn_amortized", eff as u64);
+                });
+                out
+            }
+        }
+    }
+
     /// Runs one round's local updates: item `j` trains
     /// `clients[client_indices[j]]` from `global`, seeded by
     /// `(train_seed, round, client id)`, returning
     /// `(params, weight, loss)` triples in item order.
     ///
-    /// Telemetry matches the scoped traced fan-out: under `label`,
-    /// per-worker `items`/`busy_ns`/`idle_ns` counters, an `item_us`
-    /// histogram, and a `workers` gauge (effective width), all
-    /// [`Class::Runtime`] — plus `pool.spawn_amortized`, counting the
-    /// thread spawns the persistent pool avoided.
+    /// Telemetry, under `label`: per-worker `items`/`busy_ns`/`idle_ns`
+    /// counters, an `item_us` histogram, and a `workers` gauge
+    /// (effective width), all [`Class::Runtime`].
     ///
     /// # Errors
     ///
-    /// If items fail, returns the error of the lowest-indexed failing
-    /// item (deterministic regardless of completion order).
+    /// Returns [`FlError::InvalidConfig`] naming the first client
+    /// index out of range, before any item runs. If items fail,
+    /// returns the error of the lowest-indexed failing item
+    /// (deterministic regardless of completion order).
     ///
     /// # Panics
     ///
@@ -649,121 +438,52 @@ impl TrainerPool<'_> {
         if num_items == 0 {
             return Ok(Vec::new());
         }
-        let Self { clients, eval_set: _, workers, mode } = self;
-        let clients: &[Client] = clients;
-        let traced = tele.is_enabled();
-        match mode {
-            PoolMode::Inline(trainer) => {
-                if traced {
-                    tele.gauge_set(Class::Runtime, &format!("{label}.workers"), 1.0);
-                }
-                let wall_start = Instant::now();
-                let mut local = if traced { Some(MetricsRegistry::new()) } else { None };
-                if spec.batch_size == 0 && num_items > 1 {
-                    let cohort: Vec<&Client> =
-                        client_indices.iter().map(|&ci| &clients[ci]).collect();
-                    let started = Instant::now();
-                    if let Ok(outs) = trainer.local_update_cohort(&cohort, global, spec) {
-                        let per_item = started.elapsed() / num_items as u32;
-                        let mut results = Vec::with_capacity(num_items);
-                        for ((params, loss), client) in outs.into_iter().zip(&cohort) {
-                            if let Some(metrics) = &mut local {
-                                record_item(metrics, label, 0, per_item);
-                            }
-                            results.push((params, client.num_samples() as f64, loss));
-                        }
-                        if let Some(mut metrics) = local {
-                            record_idle(&mut metrics, label, 1, wall_start.elapsed());
-                            tele.merge_registry(&metrics);
-                        }
-                        return Ok(results);
-                    }
-                    // Cohort failed: re-run solo below so the error
-                    // names the lowest-indexed failing client.
-                }
-                let mut results = Vec::with_capacity(num_items);
-                let mut first_err: Option<FlError> = None;
-                for &client_index in client_indices {
-                    let client = &clients[client_index];
-                    let mut rng = Rng::stream(
-                        train_seed,
-                        ((round as u64) << 32) | client.id().0 as u64,
-                    );
-                    let started = Instant::now();
-                    let out = trainer.local_update(client, global, spec, &mut rng);
-                    if let Some(metrics) = &mut local {
-                        record_item(metrics, label, 0, started.elapsed());
-                    }
-                    match out {
-                        Ok((params, loss)) => {
-                            results.push((params, client.num_samples() as f64, loss));
-                        }
-                        Err(err) => {
-                            first_err = Some(err);
-                            break;
-                        }
-                    }
-                }
-                if let Some(mut metrics) = local {
-                    record_idle(&mut metrics, label, 1, wall_start.elapsed());
-                    tele.merge_registry(&metrics);
-                }
-                match first_err {
-                    Some(err) => Err(err),
-                    None => Ok(results),
-                }
-            }
-            PoolMode::Pooled(shared) => {
-                let eff = (*workers).min(num_items);
-                if traced {
-                    tele.gauge_set(Class::Runtime, &format!("{label}.workers"), eff as f64);
-                    for slot in lock(&shared.metrics).iter_mut() {
-                        *slot = None;
-                    }
-                }
-                let wall_start = Instant::now();
-                let job = Job::Train {
-                    round,
-                    train_seed,
-                    spec: *spec,
-                    global: global.to_vec(),
-                    client_indices: client_indices.to_vec(),
-                    label: label.to_string(),
-                    traced,
-                };
-                let slots = dispatch(shared, job, eff);
-                tele.with_metrics(|m| {
-                    m.counter_add(Class::Runtime, "pool.spawn_amortized", eff as u64);
-                });
-                if traced {
-                    let mut merged = MetricsRegistry::new();
-                    for slot in lock(&shared.metrics).iter_mut().take(eff) {
-                        if let Some(metrics) = slot.take() {
-                            merged.merge_from(&metrics);
-                        }
-                    }
-                    record_idle(&mut merged, label, eff, wall_start.elapsed());
-                    tele.merge_registry(&merged);
-                }
-                let mut results = Vec::with_capacity(num_items);
-                for slot in slots {
-                    match slot.expect("pool worker panicked")? {
-                        JobOut::Train(params, weight, loss) => {
-                            results.push((params, weight, loss));
-                        }
-                        JobOut::Eval(..) => unreachable!("train job yielded eval output"),
-                    }
-                }
-                Ok(results)
-            }
+        if let Some(&bad) = client_indices.iter().find(|&&ci| ci >= self.clients.len()) {
+            return Err(FlError::InvalidConfig {
+                field: "client_indices",
+                reason: format!(
+                    "client index {bad} is out of range for {} clients",
+                    self.clients.len()
+                ),
+            });
         }
+        let eff = self.workers.min(num_items);
+        let traced = tele.is_enabled();
+        if traced {
+            tele.gauge_set(Class::Runtime, &format!("{label}.workers"), eff as f64);
+        }
+        let wall_start = Instant::now();
+        let job = Job::Train {
+            round,
+            train_seed,
+            spec: *spec,
+            global: global.to_vec(),
+            client_indices: client_indices.to_vec(),
+            trace_label: traced.then(|| label.to_string()),
+        };
+        let (slots, lanes) = self.run(job, eff, tele);
+        if traced {
+            let mut merged = MetricsRegistry::new();
+            for lane in &lanes {
+                merged.merge_from(lane);
+            }
+            record_idle(&mut merged, label, eff, wall_start.elapsed());
+            tele.merge_registry(&merged);
+        }
+        slots
+            .into_iter()
+            .map(|slot| match slot.expect("pool worker panicked")? {
+                JobOut::Train(params, weight, loss) => Ok((params, weight, loss)),
+                JobOut::Eval(..) => unreachable!("train job yielded eval output"),
+            })
+            .collect()
     }
 
     /// Evaluates a parameter vector on the run's eval set —
     /// `(mean loss, accuracy)` — by scoring fixed
     /// [`EVAL_CHUNK_ROWS`]-row blocks across the pool and reducing
     /// per-block sums in block order, bit-identical to
-    /// [`evaluate_chunked`] for every worker count.
+    /// [`ClientTrainer::evaluate_params`] for every worker count.
     ///
     /// # Errors
     ///
@@ -773,44 +493,24 @@ impl TrainerPool<'_> {
     ///
     /// Panics if a worker thread panicked while evaluating.
     pub fn evaluate(&mut self, params: &[f32], tele: &Telemetry) -> Result<(f32, f64)> {
-        let Self { clients: _, eval_set, workers, mode } = self;
-        let n = eval_set.len();
+        let n = self.eval_set.len();
         if n == 0 {
             return Err(FlError::InvalidConfig {
                 field: "eval_set",
                 reason: "cannot evaluate on an empty set".into(),
             });
         }
-        let chunks = n.div_ceil(EVAL_CHUNK_ROWS);
+        let eff = self.workers.min(n.div_ceil(EVAL_CHUNK_ROWS));
+        let (slots, _) = self.run(Job::Eval { params: params.to_vec(), set_len: n }, eff, tele);
         let mut loss_sum = 0.0f64;
         let mut correct = 0usize;
-        match mode {
-            PoolMode::Inline(trainer) => {
-                for chunk in 0..chunks {
-                    let start = chunk * EVAL_CHUNK_ROWS;
-                    let len = EVAL_CHUNK_ROWS.min(n - start);
-                    let (loss, hits) =
-                        trainer.eval_chunk_params(params, eval_set, start, len)?;
+        for slot in slots {
+            match slot.expect("pool worker panicked")? {
+                JobOut::Eval(loss, hits) => {
                     loss_sum += loss;
                     correct += hits;
                 }
-            }
-            PoolMode::Pooled(shared) => {
-                let eff = (*workers).min(chunks);
-                let job = Job::Eval { params: params.to_vec(), set_len: n };
-                let slots = dispatch(shared, job, eff);
-                tele.with_metrics(|m| {
-                    m.counter_add(Class::Runtime, "pool.spawn_amortized", eff as u64);
-                });
-                for slot in slots {
-                    match slot.expect("pool worker panicked")? {
-                        JobOut::Eval(loss, hits) => {
-                            loss_sum += loss;
-                            correct += hits;
-                        }
-                        JobOut::Train(..) => unreachable!("eval job yielded train output"),
-                    }
-                }
+                JobOut::Train(..) => unreachable!("eval job yielded train output"),
             }
         }
         Ok(((loss_sum / n as f64) as f32, correct as f64 / n as f64))
@@ -878,125 +578,16 @@ pub fn with_trainer_pool<R>(
 mod tests {
     use super::*;
     use crate::dataset::{DatasetConfig, SyntheticTask};
+    use helcfl_telemetry::Metric;
+    use mec_sim::device::DeviceId;
+    use tinynn::model::Mlp;
+    use tinynn::tensor::Matrix;
 
     #[test]
     fn explicit_thread_request_wins() {
         assert_eq!(worker_threads(3), 3);
         assert_eq!(worker_threads(1), 1);
         assert!(worker_threads(0) >= 1);
-    }
-
-    #[test]
-    fn pooled_map_preserves_index_order() {
-        let mut pool = vec![0usize; 4];
-        let out = parallel_map_pooled(&mut pool, 37, |hits, i| {
-            *hits += 1;
-            Ok(i * 10)
-        })
-        .unwrap();
-        assert_eq!(out, (0..37).map(|i| i * 10).collect::<Vec<_>>());
-        // Every item ran exactly once, spread over the pool.
-        assert_eq!(pool.iter().sum::<usize>(), 37);
-        assert!(pool.iter().all(|&h| h > 0));
-    }
-
-    #[test]
-    fn pooled_map_matches_single_worker() {
-        let mut one = vec![(); 1];
-        let mut many = vec![(); 5];
-        let f = |_: &mut (), i: usize| Ok(i * i + 1);
-        let serial = parallel_map_pooled(&mut one, 23, f).unwrap();
-        let parallel = parallel_map_pooled(&mut many, 23, f).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn lowest_indexed_error_wins() {
-        let mut pool = vec![(); 3];
-        let err = parallel_map_pooled::<_, usize, _>(&mut pool, 20, |_, i| {
-            if i == 7 || i == 13 {
-                Err(FlError::InvalidConfig { field: "item", reason: format!("{i}") })
-            } else {
-                Ok(i)
-            }
-        })
-        .unwrap_err();
-        match err {
-            FlError::InvalidConfig { reason, .. } => assert_eq!(reason, "7"),
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn traced_map_matches_untraced_and_records_worker_metrics() {
-        let f = |_: &mut (), i: usize| Ok(i * 3);
-        let mut plain_pool = vec![(); 3];
-        let plain = parallel_map_pooled(&mut plain_pool, 17, f).unwrap();
-
-        // Disabled handle: pure pass-through.
-        let mut pool = vec![(); 3];
-        let disabled = Telemetry::disabled();
-        let out =
-            parallel_map_pooled_traced(&mut pool, 17, f, &disabled, "pool").unwrap();
-        assert_eq!(out, plain);
-        assert!(disabled.snapshot().is_empty());
-
-        // Enabled handle: same results, plus per-worker accounting.
-        let tele = Telemetry::metrics_only();
-        let out = parallel_map_pooled_traced(&mut pool, 17, f, &tele, "pool").unwrap();
-        assert_eq!(out, plain);
-        let snap = tele.snapshot();
-        let items: u64 =
-            (0..3).map(|w| snap.counter(&format!("pool.worker{w}.items"))).sum();
-        assert_eq!(items, 17);
-        assert_eq!(snap.histogram("pool.item_us").unwrap().count, 17);
-        assert!(snap.counter("pool.worker0.idle_ns") < u64::MAX);
-        // Pool metrics are runtime-class: the deterministic view is empty.
-        assert!(snap.deterministic().is_empty());
-    }
-
-    #[test]
-    fn traced_map_single_worker_records_one_lane() {
-        let tele = Telemetry::metrics_only();
-        let mut pool = vec![(); 1];
-        let out =
-            parallel_map_pooled_traced(&mut pool, 5, |_, i| Ok(i), &tele, "p").unwrap();
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        let snap = tele.snapshot();
-        assert_eq!(snap.counter("p.worker0.items"), 5);
-        assert_eq!(snap.histogram("p.item_us").unwrap().count, 5);
-    }
-
-    #[test]
-    fn zero_items_yield_empty_results() {
-        let mut pool = vec![(); 2];
-        let out = parallel_map_pooled::<_, usize, _>(&mut pool, 0, |_, i| Ok(i)).unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn chunked_evaluation_is_pool_size_invariant() {
-        let task = SyntheticTask::generate(DatasetConfig {
-            num_classes: 4,
-            feature_dim: 6,
-            train_samples: 40,
-            // More test rows than one chunk so several blocks exist.
-            test_samples: 700,
-            seed: 5,
-            ..DatasetConfig::default()
-        })
-        .unwrap();
-        let model = Mlp::new(&[6, 8, 4], 11).unwrap();
-        let dims = [6, 8, 4];
-        let mut pool1 = vec![ClientTrainer::new(&dims).unwrap()];
-        let mut pool4: Vec<_> =
-            (0..4).map(|_| ClientTrainer::new(&dims).unwrap()).collect();
-        let serial = evaluate_chunked(&model, task.test(), &mut pool1).unwrap();
-        let parallel = evaluate_chunked(&model, task.test(), &mut pool4).unwrap();
-        assert_eq!(serial, parallel);
-        // And both agree with the model's own whole-set accuracy.
-        let direct = model.accuracy(task.test().features(), task.test().labels()).unwrap();
-        assert_eq!(serial.1, direct);
     }
 
     #[test]
@@ -1033,13 +624,14 @@ mod tests {
         assert!(worker_threads(0) >= 1);
     }
 
-    /// Fixture for the persistent-pool tests: a small task, its
-    /// clients, a trained-from global parameter vector, and a spec.
+    /// Fixture for the pool tests: a small task, its clients, a
+    /// trained-from global parameter vector, and a minibatch spec.
     fn pool_fixture() -> (SyntheticTask, Vec<Client>, Vec<f32>, LocalUpdateSpec) {
         let task = SyntheticTask::generate(DatasetConfig {
             num_classes: 4,
             feature_dim: 6,
             train_samples: 120,
+            // More test rows than one eval chunk so several blocks exist.
             test_samples: 700,
             seed: 9,
             ..DatasetConfig::default()
@@ -1055,16 +647,17 @@ mod tests {
 
     fn pool_train(
         workers: usize,
+        spec: &LocalUpdateSpec,
         rounds: &[usize],
         tele: &Telemetry,
     ) -> Vec<Vec<(Vec<f32>, f64, f32)>> {
-        let (task, clients, global, spec) = pool_fixture();
+        let (task, clients, global, _) = pool_fixture();
         let indices: Vec<usize> = (0..clients.len()).collect();
         with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
             rounds
                 .iter()
                 .map(|&round| {
-                    pool.train(round, 42, &spec, &global, &indices, tele, "local_update")
+                    pool.train(round, 42, spec, &global, &indices, tele, "local_update")
                 })
                 .collect()
         })
@@ -1073,24 +666,32 @@ mod tests {
 
     #[test]
     fn pooled_train_is_bit_identical_to_inline() {
+        let (_, _, _, minibatch) = pool_fixture();
+        let full_batch = LocalUpdateSpec { batch_size: 0, ..minibatch };
         let disabled = Telemetry::disabled();
-        let inline = pool_train(1, &[1, 2, 3], &disabled);
-        for workers in [2, 3, 8, 16] {
-            let pooled = pool_train(workers, &[1, 2, 3], &disabled);
-            assert_eq!(inline, pooled, "divergence at {workers} workers");
+        for spec in [minibatch, full_batch] {
+            let inline = pool_train(1, &spec, &[1, 2, 3], &disabled);
+            for workers in [2, 3, 8, 16] {
+                let pooled = pool_train(workers, &spec, &[1, 2, 3], &disabled);
+                assert_eq!(inline, pooled, "divergence at {workers} workers, {spec:?}");
+            }
+            // Tracing must not perturb results either.
+            let tele = Telemetry::metrics_only();
+            assert_eq!(inline, pool_train(4, &spec, &[1, 2, 3], &tele));
         }
-        // Tracing must not perturb results either.
-        let tele = Telemetry::metrics_only();
-        assert_eq!(inline, pool_train(4, &[1, 2, 3], &tele));
     }
 
     #[test]
-    fn pooled_evaluate_matches_scoped_reference() {
+    fn pooled_evaluate_matches_serial_reference() {
         let (task, clients, global, _spec) = pool_fixture();
+        let mut trainer = ClientTrainer::new(&[6, 8, 4]).unwrap();
+        let reference = trainer.evaluate_params(&global, task.test()).unwrap();
+        // The chunked reduction agrees with the model's own whole-set
+        // accuracy.
         let mut model = Mlp::new(&[6, 8, 4], 0).unwrap();
         model.set_parameters(&global).unwrap();
-        let mut scratch = vec![ClientTrainer::new(&[6, 8, 4]).unwrap()];
-        let reference = evaluate_chunked(&model, task.test(), &mut scratch).unwrap();
+        let direct = model.accuracy(task.test().features(), task.test().labels()).unwrap();
+        assert_eq!(reference.1, direct);
         let disabled = Telemetry::disabled();
         for workers in [1, 2, 5] {
             let got = with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
@@ -1109,7 +710,7 @@ mod tests {
         let (task, clients, global, spec) = pool_fixture();
         let indices: Vec<usize> = (0..clients.len()).collect();
         let disabled = Telemetry::disabled();
-        let inline = pool_train(1, &[1, 2], &disabled);
+        let inline = pool_train(1, &spec, &[1, 2], &disabled);
         let (first, evaled, second) =
             with_trainer_pool(3, &[6, 8, 4], &clients, task.test(), |pool| {
                 let first =
@@ -1154,6 +755,60 @@ mod tests {
     }
 
     #[test]
+    fn train_rejects_out_of_range_client_indices() {
+        let (task, clients, global, spec) = pool_fixture();
+        let disabled = Telemetry::disabled();
+        let indices = [0, 4, clients.len(), 2];
+        for workers in [1, 3] {
+            with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
+                match pool.train(1, 42, &spec, &global, &indices, &disabled, "local_update") {
+                    Err(FlError::InvalidConfig { field, reason }) => {
+                        assert_eq!(field, "client_indices");
+                        assert!(reason.contains("client index 10"), "{reason}");
+                    }
+                    other => panic!("expected InvalidConfig, got {other:?}"),
+                }
+                // The rejection happens before dispatch: the pool still
+                // serves a good job.
+                let ok = pool.train(1, 42, &spec, &global, &[0, 4, 2], &disabled, "local_update")?;
+                assert_eq!(ok.len(), 3);
+                Ok(())
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn lowest_indexed_train_error_wins() {
+        // Two clients whose shards have different wrong feature widths
+        // fail with different shape errors; the lower item index's
+        // error must come back whichever workers ran the two items.
+        let (task, mut clients, global, spec) = pool_fixture();
+        let bad_client = |id: usize, width: usize| {
+            let features = Matrix::zeros(12, width).unwrap();
+            Client::new(DeviceId(id), LabeledSet::new(features, vec![0; 12]).unwrap()).unwrap()
+        };
+        clients[2] = bad_client(2, 5);
+        clients[7] = bad_client(7, 7);
+        let solo_err = |q: usize| {
+            let mut trainer = ClientTrainer::new(&[6, 8, 4]).unwrap();
+            let mut rng = Rng::seed_from_u64(0);
+            trainer.local_update(&clients[q], &global, &spec, &mut rng).unwrap_err()
+        };
+        let (first, second) = (solo_err(2), solo_err(7));
+        assert_ne!(first, second, "the two failures must be distinguishable");
+        let indices: Vec<usize> = (0..clients.len()).collect();
+        let disabled = Telemetry::disabled();
+        for workers in [1, 3, 8] {
+            let err = with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
+                pool.train(1, 42, &spec, &global, &indices, &disabled, "local_update")
+            })
+            .unwrap_err();
+            assert_eq!(err, first, "wrong error at {workers} workers");
+        }
+    }
+
+    #[test]
     fn pool_handles_empty_and_narrow_jobs() {
         let (task, clients, global, spec) = pool_fixture();
         let disabled = Telemetry::disabled();
@@ -1178,128 +833,44 @@ mod tests {
         assert_eq!(inline, pooled);
     }
 
-    /// Like [`pool_fixture`] but full-batch (`batch_size == 0`), the
-    /// configuration that takes the grouped cohort dispatch path.
-    fn cohort_fixture() -> (SyntheticTask, Vec<Client>, Vec<f32>, LocalUpdateSpec) {
-        let (task, clients, global, mut spec) = pool_fixture();
-        spec.batch_size = 0;
-        (task, clients, global, spec)
-    }
-
     #[test]
-    fn full_batch_cohort_train_is_bit_identical_across_worker_counts() {
-        // batch_size == 0 routes through CohortArena grouping; the
-        // reference is the per-item path, forced by running each
-        // client as its own single-item job.
-        let (task, clients, global, spec) = cohort_fixture();
-        let indices: Vec<usize> = (0..clients.len()).collect();
-        let disabled = Telemetry::disabled();
-        let reference: Vec<(Vec<f32>, f64, f32)> =
-            with_trainer_pool(1, &[6, 8, 4], &clients, task.test(), |pool| {
-                let mut out = Vec::new();
-                for &i in &indices {
-                    out.extend(pool.train(
-                        2,
-                        42,
-                        &spec,
-                        &global,
-                        &[i],
-                        &disabled,
-                        "local_update",
-                    )?);
-                }
-                Ok(out)
-            })
-            .unwrap();
-        for workers in [1, 2, 4, 8] {
-            let got = with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
-                pool.train(2, 42, &spec, &global, &indices, &disabled, "local_update")
-            })
-            .unwrap();
-            assert_eq!(got.len(), reference.len());
-            for (q, ((gp, gw, gl), (rp, rw, rl))) in got.iter().zip(&reference).enumerate() {
-                let gb: Vec<u32> = gp.iter().map(|v| v.to_bits()).collect();
-                let rb: Vec<u32> = rp.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(gb, rb, "params diverge: client {q}, {workers} workers");
-                assert_eq!(gw, rw, "weight diverges: client {q}, {workers} workers");
-                assert_eq!(
-                    gl.to_bits(),
-                    rl.to_bits(),
-                    "loss diverges: client {q}, {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cohort_train_keeps_the_telemetry_shape() {
-        // Grouped dispatch must still produce one item_us entry per
-        // client and per-worker item counts summing to the job size.
-        let (task, clients, global, spec) = cohort_fixture();
+    fn pool_telemetry_accounts_for_amortized_spawns() {
+        let (task, clients, global, spec) = pool_fixture();
         let indices: Vec<usize> = (0..clients.len()).collect();
         for workers in [1, 3] {
             let tele = Telemetry::metrics_only();
             with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
                 pool.train(1, 42, &spec, &global, &indices, &tele, "local_update")?;
+                pool.evaluate(&global, &tele)?;
                 Ok(())
             })
             .unwrap();
             let snap = tele.snapshot();
+            // Inline mode spawns nothing. Pooled train dispatches over
+            // 3 workers; eval over min(3, ceil(700/256)) = 3.
+            let spawns = if workers == 1 { 0 } else { 6 };
+            assert_eq!(snap.counter("pool.spawn_amortized"), spawns);
+            assert!(matches!(
+                snap.get("local_update.workers"),
+                Some(Metric::Gauge(w)) if *w == workers as f64
+            ));
+            // One lane per worker, each with an item count and an idle
+            // counter; every item lands in the latency histogram once.
             let items: u64 = (0..workers)
                 .map(|w| snap.counter(&format!("local_update.worker{w}.items")))
                 .sum();
             assert_eq!(items, indices.len() as u64, "items at {workers} workers");
+            for w in 0..workers {
+                assert!(snap.get(&format!("local_update.worker{w}.idle_ns")).is_some());
+            }
+            assert!(snap.get(&format!("local_update.worker{workers}.items")).is_none());
             assert_eq!(
                 snap.histogram("local_update.item_us").unwrap().count,
                 indices.len() as u64,
                 "histogram at {workers} workers"
             );
+            // Pool metrics are runtime-class: the deterministic view is empty.
             assert!(snap.deterministic().is_empty());
         }
-    }
-
-    #[test]
-    fn cohort_train_failure_falls_back_with_attribution() {
-        // A bad global vector fails the grouped dispatch; the solo
-        // fallback must surface a client-level error (not a panic) and
-        // leave the pool healthy.
-        let (task, clients, global, spec) = cohort_fixture();
-        let indices: Vec<usize> = (0..clients.len()).collect();
-        let disabled = Telemetry::disabled();
-        let bad = vec![0.0f32; 3];
-        for workers in [1, 4] {
-            with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
-                assert!(pool
-                    .train(1, 42, &spec, &bad, &indices, &disabled, "local_update")
-                    .is_err());
-                let ok =
-                    pool.train(1, 42, &spec, &global, &indices, &disabled, "local_update")?;
-                assert_eq!(ok.len(), indices.len());
-                Ok(())
-            })
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn pool_telemetry_accounts_for_amortized_spawns() {
-        let (task, clients, global, spec) = pool_fixture();
-        let indices: Vec<usize> = (0..clients.len()).collect();
-        let tele = Telemetry::metrics_only();
-        with_trainer_pool(3, &[6, 8, 4], &clients, task.test(), |pool| {
-            pool.train(1, 42, &spec, &global, &indices, &tele, "local_update")?;
-            pool.evaluate(&global, &tele)?;
-            Ok(())
-        })
-        .unwrap();
-        let snap = tele.snapshot();
-        // Train dispatched over 3 workers; eval over min(3, ceil(700/256)) = 3.
-        assert_eq!(snap.counter("pool.spawn_amortized"), 6);
-        let items: u64 =
-            (0..3).map(|w| snap.counter(&format!("local_update.worker{w}.items"))).sum();
-        assert_eq!(items, indices.len() as u64);
-        assert_eq!(snap.histogram("local_update.item_us").unwrap().count, indices.len() as u64);
-        // Pool metrics are runtime-class: the deterministic view is empty.
-        assert!(snap.deterministic().is_empty());
     }
 }
