@@ -77,9 +77,10 @@ echo "==> fault smoke: seeded injection run + trace validation + audit"
   "$repo_root/target/release/helcfl-trace" audit results/trace_fault_sweep.jsonl
 )
 
-echo "==> fault golden check: zero-fault engine equivalence"
-# The fault-aware engine with an inert fault plan must reproduce the
-# committed fault-free HELCFL history byte-for-byte.
+echo "==> fault golden check: default and never-binding-deadline configs"
+# Both the default config and a never-binding round deadline (which
+# turns on fault reporting under an inert fault plan) must reproduce
+# the committed HELCFL history byte-for-byte.
 "$repo_root/target/release/fault_sweep" --golden-check \
   "$repo_root/results/golden/history_fast_iid_helcfl.csv"
 

@@ -23,13 +23,13 @@
 //!   `results/trace_fault_sweep.jsonl` for `helcfl-trace check`/
 //!   `audit`.
 //! * `fault_sweep --golden-write PATH` — runs HELCFL on the fast IID
-//!   scenario with the default (fault-free) engine and writes its
-//!   history CSV to `PATH`.
-//! * `fault_sweep --golden-check PATH` — reruns the same scenario with
-//!   the fault-aware engine forced (an astronomically large round
-//!   deadline activates it; the zero-rate fault plan never fires) and
-//!   asserts the produced CSV is byte-identical to `PATH`. Any drift
-//!   between the two engines on healthy rounds fails the build.
+//!   scenario with the default config and writes its history CSV to
+//!   `PATH`.
+//! * `fault_sweep --golden-check PATH` — reruns the same scenario
+//!   twice, with the default config and with a round deadline no round
+//!   ever reaches (which turns on fault reporting while the zero-rate
+//!   fault plan stays inert), and asserts both CSVs are byte-identical
+//!   to `PATH`. Any history drift on healthy rounds fails the build.
 
 use std::fs;
 use std::path::Path;
@@ -43,13 +43,13 @@ const RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.3];
 
 /// The reference run both golden modes reproduce: HELCFL, fast
 /// scenario, IID, default seed.
-fn golden_history(force_faulted_engine: bool) -> Result<TrainingHistory, Box<dyn std::error::Error>> {
+fn golden_history(never_binding_deadline: bool) -> Result<TrainingHistory, Box<dyn std::error::Error>> {
     let scenario = PaperScenario::fast();
     let mut config = scenario.training_config();
-    if force_faulted_engine {
-        // A never-binding deadline switches the runner onto the
-        // fault-aware engine while the zero-rate fault plan stays
-        // inert; the histories must still match bit for bit.
+    if never_binding_deadline {
+        // The deadline makes the degradation policy active, so the run
+        // reports the fault series; no round is cut and no fault
+        // fires, so the history must still match bit for bit.
         config.degradation = DegradationPolicy {
             round_deadline: Some(Seconds::new(1.0e12)),
             ..DegradationPolicy::default()
@@ -76,24 +76,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let path = raw.get(i + 1).map(String::as_str).ok_or("--golden-check needs a path")?;
         let golden = fs::read_to_string(path)
             .map_err(|e| format!("cannot read golden history {path}: {e}"))?;
-        let actual = golden_history(true)?.to_csv();
-        if actual == golden {
-            println!(
-                "golden check OK: fault-aware engine reproduces {path} byte-for-byte"
-            );
-            return Ok(());
-        }
-        for (line, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
-            if a != g {
-                eprintln!("first divergence at line {}:\n  golden: {g}\n  actual: {a}", line + 1);
-                break;
+        for (deadline, label) in [(false, "default config"), (true, "never-binding deadline")] {
+            let actual = golden_history(deadline)?.to_csv();
+            if actual != golden {
+                for (line, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
+                    if a != g {
+                        eprintln!(
+                            "first divergence at line {}:\n  golden: {g}\n  actual: {a}",
+                            line + 1
+                        );
+                        break;
+                    }
+                }
+                return Err(format!(
+                    "{label} run diverged from the committed golden history {path}"
+                )
+                .into());
             }
+            println!("golden check OK ({label}): reproduces {path} byte-for-byte");
         }
-        return Err(format!(
-            "fault-aware engine with zero faults diverged from the committed \
-             golden history {path} — the two engines are no longer bit-identical"
-        )
-        .into());
+        return Ok(());
     }
 
     if raw.iter().any(|a| a == "--smoke") {

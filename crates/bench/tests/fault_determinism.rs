@@ -6,11 +6,10 @@
 //! runner must keep reproducing them exactly.
 //!
 //! Beyond the pin, this suite checks the two determinism properties
-//! the fault layer itself must uphold: the fault-aware engine with
-//! zero faults reproduces the fault-free histories bit-for-bit (the
-//! engines are interchangeable, not merely similar), and
-//! fault-afflicted histories are bit-identical across worker-thread
-//! counts.
+//! the fault layer itself must uphold: with zero faults, turning on
+//! fault reporting (a never-binding deadline) leaves the histories
+//! bit-for-bit unchanged, and fault-afflicted histories are
+//! bit-identical across worker-thread counts.
 
 use fl_sim::faults::{DegradationPolicy, FaultConfig};
 use helcfl_bench::scenario::{PaperScenario, Setting};
@@ -130,11 +129,11 @@ fn default_config_reproduces_pre_fault_fingerprints() {
 
 #[test]
 fn faulted_engine_with_zero_faults_matches_the_fault_free_histories() {
-    // A never-binding round deadline forces the fault-aware engine
-    // while keeping the fault plan inert: every history value must
-    // still come out bit-identical to the pinned fault-free run. (The
-    // registry is excluded: the faulted engine legitimately adds its
-    // own fault-series metrics.)
+    // A never-binding round deadline makes the degradation policy
+    // active while keeping the fault plan inert: every history value
+    // must still come out bit-identical to the pinned fault-free run.
+    // (The registry is excluded: an active policy legitimately adds
+    // the fault-series metrics.)
     for (scheme, hist, _) in PINNED {
         let (h, _) = fingerprints_with(&scheme, |config| {
             config.degradation = DegradationPolicy {
@@ -145,7 +144,7 @@ fn faulted_engine_with_zero_faults_matches_the_fault_free_histories() {
         assert_eq!(
             h,
             hist,
-            "{}: zero-fault faulted engine diverged from the fault-free path (got {h:#018x})",
+            "{}: zero-fault run with fault reporting diverged from the pinned history (got {h:#018x})",
             scheme.label()
         );
     }

@@ -26,8 +26,7 @@ use crate::seeds::{derive, SeedDomain};
 /// Per-class fault rates and shape parameters.
 ///
 /// All rates are per-round, per-selected-device probabilities. The
-/// default is the all-zero plan: no fault ever fires and the runner
-/// keeps its fault-free fast path.
+/// default is the all-zero plan: no fault ever fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability a selected device crashes this round (split evenly
@@ -86,9 +85,9 @@ impl FaultConfig {
         }
     }
 
-    /// Whether any fault class can fire at all. `false` keeps the
-    /// runner on its fault-free engine, whose output is pinned
-    /// bit-for-bit by the determinism suite.
+    /// Whether any fault class can fire at all. When neither this nor
+    /// [`DegradationPolicy::is_active`] holds, the runner leaves the
+    /// fault series out of its metrics and trace.
     pub fn is_active(&self) -> bool {
         self.crash_rate > 0.0
             || self.straggler_rate > 0.0
@@ -252,11 +251,12 @@ impl Default for DegradationPolicy {
 }
 
 impl DegradationPolicy {
-    /// Whether this policy forces the fault-aware round engine even
-    /// with an inert fault plan (a deadline can drop devices all by
-    /// itself).
+    /// Whether this policy can change a round's outcome even with an
+    /// inert fault plan: a deadline can drop devices, and a quorum
+    /// above one can skip aggregation. The runner then reports the
+    /// fault series and the per-round `quorum` span.
     pub fn is_active(&self) -> bool {
-        self.round_deadline.is_some()
+        self.round_deadline.is_some() || self.min_quorum > 1
     }
 
     /// Validates the policy.
@@ -432,5 +432,6 @@ mod tests {
             ..DegradationPolicy::default()
         }
         .is_active());
+        assert!(DegradationPolicy { min_quorum: 2, ..DegradationPolicy::default() }.is_active());
     }
 }

@@ -13,14 +13,12 @@ use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, Rng};
-use helcfl_telemetry::{
-    resource, span, Class, MetricsRegistry, ProgressSink, RoundSnapshot, Span, Telemetry,
-};
+use helcfl_telemetry::{resource, span, Class, ProgressSink, RoundSnapshot, Telemetry};
 use mec_sim::battery::Battery;
 use mec_sim::device::DeviceId;
 use mec_sim::fleet::AliveMask;
 use mec_sim::population::Population;
-use mec_sim::timeline::{DigestConfig, RoundTimeline};
+use mec_sim::timeline::DigestConfig;
 use mec_sim::units::{Bits, Joules, Seconds};
 
 use crate::checkpoint::{
@@ -80,9 +78,7 @@ pub struct TrainingConfig {
     /// model converges … if so, the training exits").
     pub convergence: Option<ConvergencePolicy>,
     /// Per-round, per-device fault injection (see [`crate::faults`]).
-    /// The default all-zero config keeps the runner on its fault-free
-    /// engine, whose histories are pinned bit-for-bit by the
-    /// determinism suite.
+    /// The default all-zero config never fires.
     pub faults: FaultConfig,
     /// What to do when selected devices fail to deliver: round
     /// deadline, minimum aggregation quorum, and the `α_q`
@@ -334,91 +330,6 @@ impl FederatedSetup {
     }
 }
 
-/// The two round engines behind one interface.
-///
-/// `Plain` is the original fault-free timeline, kept as its own arm
-/// (rather than running a zero-fault [`FaultedRound`]) so that
-/// default-config runs execute the exact code path whose histories and
-/// Sim-metric registries the determinism suite pins bit-for-bit. The
-/// faulted engine takes over only when a fault class can fire or a
-/// round deadline is set.
-enum RoundSim {
-    Plain(RoundTimeline),
-    Faulted(FaultedRound),
-}
-
-impl RoundSim {
-    fn round_time(&self) -> Seconds {
-        match self {
-            Self::Plain(t) => t.makespan(),
-            Self::Faulted(f) => f.round_time(),
-        }
-    }
-
-    fn eq10_bound(&self) -> Seconds {
-        match self {
-            Self::Plain(t) => t.eq10_bound(),
-            Self::Faulted(f) => f.eq10_bound(),
-        }
-    }
-
-    fn total_energy(&self) -> Joules {
-        match self {
-            Self::Plain(t) => t.total_energy(),
-            Self::Faulted(f) => f.total_energy(),
-        }
-    }
-
-    fn compute_energy(&self) -> Joules {
-        match self {
-            Self::Plain(t) => t.compute_energy(),
-            Self::Faulted(f) => f.compute_energy(),
-        }
-    }
-
-    fn total_slack(&self) -> Seconds {
-        match self {
-            Self::Plain(t) => t.total_slack(),
-            Self::Faulted(f) => f.total_slack(),
-        }
-    }
-
-    fn wasted_energy(&self) -> Joules {
-        match self {
-            Self::Plain(_) => Joules::ZERO,
-            Self::Faulted(f) => f.wasted_energy(),
-        }
-    }
-
-    fn faults_fired(&self) -> usize {
-        match self {
-            Self::Plain(_) => 0,
-            Self::Faulted(f) => f.faults_fired(),
-        }
-    }
-
-    fn record_metrics(&self, registry: &mut MetricsRegistry) {
-        match self {
-            Self::Plain(t) => t.record_metrics(registry),
-            Self::Faulted(f) => f.record_metrics(registry),
-        }
-    }
-
-    fn trace_into(&self, span: &mut Span) {
-        match self {
-            Self::Plain(t) => t.trace_into(span),
-            Self::Faulted(f) => f.trace_into(span),
-        }
-    }
-
-    fn trace_digest_into(&self, span: &mut Span, cfg: DigestConfig) {
-        match self {
-            Self::Plain(t) => t.trace_digest_into(span, cfg),
-            Self::Faulted(f) => f.trace_digest_into(span, cfg),
-        }
-    }
-}
-
 /// Runs the full synchronous FL loop (Alg. 1) and returns its history.
 ///
 /// Per round: select users (strategy), assign frequencies (policy),
@@ -555,7 +466,7 @@ fn trace_mode_override(configured: Option<usize>) -> Option<usize> {
 /// `pool_resolved` point event describing the worker fan-out. The
 /// `timeline` phase additionally carries the resolved schedule — one
 /// `device_activity` child per selected device with frequency, TDMA
-/// window, and energy attributes (see `RoundTimeline::trace_into`) —
+/// window, and energy attributes (see `FaultedRound::trace_into`) —
 /// which `helcfl-trace audit` replays against the paper's model. The
 /// round span carries the per-round RNG-stream fingerprint
 /// (`rng_probe`), so two diverging runs can be bisected to the first
@@ -592,9 +503,12 @@ pub fn run_federated_traced(
     config.validate()?;
     let target = selection_target(setup.population.len(), config.fraction)?;
     let fault_plan = FaultPlan::new(config.faults, config.seed)?;
-    // Engine selection: an inert plan AND no deadline keep the original
-    // fault-free path (a deadline can strand devices all by itself).
-    let faulted_engine = fault_plan.is_active() || config.degradation.is_active();
+    // Every round runs through `FaultedRound`; this flag decides only
+    // what gets reported. Without a fault model (an inert plan and a
+    // passive degradation policy) the fault series and the `quorum`
+    // span stay out of the trace and the Sim registry, which keep
+    // their pre-fault-layer shape.
+    let fault_model = fault_plan.is_active() || config.degradation.is_active();
     let mut server = Flcc::new(&config.model_dims, derive(config.seed, SeedDomain::Model))?;
     let workers = worker_threads(config.threads);
     // Trace-shape-only knobs may come from the environment because
@@ -842,19 +756,15 @@ pub fn run_federated_traced(
         span_phase.end();
         let phase_t0 = timing.then(Instant::now);
         let mut span_phase = round_span.child("timeline");
-        let sim = if faulted_engine {
-            let faults: Vec<Option<DeviceFault>> =
-                selected.iter().map(|d| fault_plan.sample(round, d.id())).collect();
-            RoundSim::Faulted(FaultedRound::simulate(
-                &selected,
-                &freqs,
-                config.payload,
-                &faults,
-                config.degradation.round_deadline,
-            )?)
-        } else {
-            RoundSim::Plain(RoundTimeline::simulate(&selected, &freqs, config.payload)?)
-        };
+        let faults: Vec<Option<DeviceFault>> =
+            selected.iter().map(|d| fault_plan.sample(round, d.id())).collect();
+        let sim = FaultedRound::simulate(
+            &selected,
+            &freqs,
+            config.payload,
+            &faults,
+            config.degradation.round_deadline,
+        )?;
         if tele.events_enabled() {
             // Per-device schedule attributes feed the trace auditor;
             // skip the string formatting entirely when no sink listens.
@@ -883,16 +793,13 @@ pub fn run_federated_traced(
         }
 
         // 2b. Delivery resolution + quorum. Indices into
-        //     `selected_ids` whose update reached the aggregator; the
-        //     fault-free engine delivers everyone by construction.
-        let delivered_idx: Vec<usize> = match &sim {
-            RoundSim::Plain(_) => (0..selected_ids.len()).collect(),
-            RoundSim::Faulted(fr) => (0..selected_ids.len())
-                .filter(|&i| fr.outcome(selected_ids[i]).is_some_and(|o| o.delivered))
-                .collect(),
-        };
+        //     `selected_ids` whose update reached the aggregator; with
+        //     an inert plan and no deadline that is everyone.
+        let delivered_idx: Vec<usize> = (0..selected_ids.len())
+            .filter(|&i| sim.outcome(selected_ids[i]).is_some_and(|o| o.delivered))
+            .collect();
         let quorum_met = delivered_idx.len() >= config.degradation.min_quorum;
-        if faulted_engine && tele.events_enabled() {
+        if fault_model && tele.events_enabled() {
             round_span
                 .child("quorum")
                 .with("delivered", delivered_idx.len())
@@ -938,7 +845,7 @@ pub fn run_federated_traced(
             server.aggregate(&updates)?;
         }
         span_phase.end();
-        if faulted_engine && !config.degradation.charge_failed_selections {
+        if !config.degradation.charge_failed_selections {
             // Refund semantics: a selected-but-failed user gets its
             // Eq. 20 appearance charge α_q rolled back, restoring its
             // long-run selection priority.
@@ -956,25 +863,13 @@ pub fn run_federated_traced(
         cumulative_time += sim.round_time();
         cumulative_energy += sim.total_energy();
         if let Some(batteries) = batteries.as_mut() {
-            match &sim {
-                RoundSim::Plain(timeline) => {
-                    for activity in timeline.activities() {
-                        batteries[activity.device.0].try_drain(activity.total_energy());
-                        if batteries[activity.device.0].is_depleted() {
-                            alive_mask.kill(activity.device.0);
-                        }
-                    }
-                }
-                RoundSim::Faulted(fr) => {
-                    // Each device drains exactly what it spent: a
-                    // crashed device is charged its partial joules
-                    // once, never the full-round cost.
-                    for outcome in fr.outcomes() {
-                        batteries[outcome.device.0].try_drain(outcome.total_energy());
-                        if batteries[outcome.device.0].is_depleted() {
-                            alive_mask.kill(outcome.device.0);
-                        }
-                    }
+            // Each device drains exactly what it spent: a crashed
+            // device is charged its partial joules once, never the
+            // full-round cost.
+            for outcome in sim.outcomes() {
+                batteries[outcome.device.0].try_drain(outcome.total_energy());
+                if batteries[outcome.device.0].is_depleted() {
+                    alive_mask.kill(outcome.device.0);
                 }
             }
         }
@@ -1006,10 +901,13 @@ pub fn run_federated_traced(
                 m.counter_add(Class::Sim, "eval.runs", 1);
                 m.gauge_set(Class::Sim, "eval.accuracy", accuracy);
             }
-            if faulted_engine && !aggregated {
+            if !aggregated {
                 m.counter_add(Class::Sim, "round.skipped", 1);
             }
             sim.record_metrics(m);
+            if fault_model {
+                sim.record_fault_metrics(m);
+            }
             // Resource gauges (Runtime class: process state and wall
             // clock, excluded from the determinism pins).
             m.gauge_set(Class::Runtime, "fleet.memory_bytes", fleet_bytes as f64);
@@ -1396,9 +1294,15 @@ mod tests {
         config.degradation =
             DegradationPolicy { min_quorum: 4, ..DegradationPolicy::default() };
         let mut selector = RandomSelector { rng: Rng::seed_from_u64(7) };
+        let tele = Telemetry::metrics_only();
         let history =
-            run_federated(&mut setup, &config, &mut selector, &MaxFrequency).unwrap();
+            run_federated_traced(&mut setup, &config, &mut selector, &MaxFrequency, &tele)
+                .unwrap();
         assert_eq!(history.rounds_aggregated(), 0);
+        // Skipped rounds are reported although no fault fired.
+        let metrics = tele.snapshot();
+        assert_eq!(metrics.counter("round.skipped"), 4);
+        assert_eq!(metrics.counter("round.delivered"), 12);
         let acc: Vec<f64> =
             history.records().iter().filter_map(|r| r.test_accuracy).collect();
         assert!(acc.windows(2).all(|w| w[0] == w[1]), "model moved without aggregation");
@@ -1410,6 +1314,18 @@ mod tests {
             assert!(r.round_time.get() > 0.0);
             assert!(r.round_energy.get() > 0.0);
         }
+        // Each round's trace names the quorum that blocked it.
+        let (mut setup, _) = tiny_world();
+        let sink = helcfl_telemetry::MemorySink::new();
+        let tele = Telemetry::with_sink(sink.clone());
+        let mut selector = RandomSelector { rng: Rng::seed_from_u64(7) };
+        run_federated_traced(&mut setup, &config, &mut selector, &MaxFrequency, &tele).unwrap();
+        let unmet = sink
+            .lines()
+            .iter()
+            .filter(|l| l.contains(r#""name":"quorum""#) && l.contains(r#""met":false"#))
+            .count();
+        assert_eq!(unmet, 4);
     }
 
     #[test]

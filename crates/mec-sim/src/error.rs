@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use crate::device::DeviceId;
 use crate::units::Hertz;
 
 /// Errors produced when constructing or operating MEC system models.
@@ -35,6 +36,11 @@ pub enum MecError {
     },
     /// An operation that needs at least one device was given none.
     EmptyDeviceSet,
+    /// Two devices in one round's device set share an id.
+    DuplicateDevice {
+        /// The repeated id.
+        id: DeviceId,
+    },
 }
 
 impl fmt::Display for MecError {
@@ -53,6 +59,9 @@ impl fmt::Display for MecError {
                 write!(f, "parameter `{name}` must be positive, got {value}")
             }
             Self::EmptyDeviceSet => write!(f, "operation requires at least one device"),
+            Self::DuplicateDevice { id } => {
+                write!(f, "device {id} appears more than once in the round's device set")
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Fault-afflicted round timelines: the MEC half of the fault layer.
 //!
-//! [`FaultedRound`] is [`crate::timeline::RoundTimeline`]'s sibling
-//! for rounds where devices misbehave. It resolves per-device
+//! [`FaultedRound`] is the round engine of the federated runner: every
+//! round, healthy or not, is simulated here. It resolves per-device
 //! [`DeviceFault`]s — crashes mid-compute or mid-upload, straggler
 //! slow-down below the DVFS-assigned frequency, transient upload
 //! failures with bounded retry-and-backoff, and channel-gain
@@ -12,8 +12,9 @@
 //! (Eq. 10/11) stays closed under faults.
 //!
 //! With an all-`None` fault vector and no deadline, the resolved
-//! schedule is bit-identical to [`RoundTimeline::simulate`]: the same
-//! `compute_delay`/`upload_delay` calls feed the same
+//! schedule is bit-identical to [`RoundTimeline::simulate`], the
+//! fault-free model kept for Alg. 3 analyses and as this engine's test
+//! oracle: the same `compute_delay`/`upload_delay` calls feed the same
 //! [`TdmaSchedule`] arithmetic in the same order.
 //!
 //! [`RoundTimeline::simulate`]: crate::timeline::RoundTimeline::simulate
@@ -23,7 +24,7 @@ use helcfl_telemetry::{Class, Histogram, MetricsRegistry, Span};
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
 use crate::tdma::{TdmaSchedule, UploadRequest};
-use crate::timeline::{sample_exemplars, DigestConfig};
+use crate::timeline::{sample_exemplars, DigestConfig, SlotIndex};
 use crate::units::{Bits, Hertz, Joules, Seconds};
 
 /// One fault event afflicting one device for one round.
@@ -268,6 +269,7 @@ impl FaultedRound {
     /// # Errors
     ///
     /// Returns [`MecError::EmptyDeviceSet`] for no devices,
+    /// [`MecError::DuplicateDevice`] when two devices share an id,
     /// [`MecError::NonPositiveParameter`] on length mismatches or
     /// invalid fault parameters, and
     /// [`MecError::FrequencyOutOfRange`] if a *planned* frequency is
@@ -306,6 +308,7 @@ impl FaultedRound {
         for fault in faults.iter().flatten() {
             fault.validate()?;
         }
+        let index = SlotIndex::new(devices)?;
 
         // Phase 1: resolve each device's effective compute span and
         // channel-occupation profile.
@@ -408,13 +411,12 @@ impl FaultedRound {
 
         // Phase 3: assemble outcomes — channel order first (exactly
         // like the healthy timeline), crashed-in-compute devices after,
-        // by id.
+        // by id. `order[k]` is the input position of `outcomes[k]`.
         let mut outcomes = Vec::with_capacity(devices.len());
-        let index_of = |id: DeviceId| {
-            devices.iter().position(|d| d.id() == id).expect("scheduled ids come from input")
-        };
+        let mut order = Vec::with_capacity(devices.len());
         for slot in schedule.slots() {
-            let i = index_of(slot.device);
+            let i = index.position(slot.device);
+            order.push(i);
             let (dev, f, frequency, planned_compute_finish, planned_upload, compute_finish, compute_energy) =
                 resolved[i];
             let profile = profiles[i].as_ref().expect("scheduled devices have profiles");
@@ -444,6 +446,7 @@ impl FaultedRound {
         let mut crashed: Vec<usize> = (0..devices.len()).filter(|&i| profiles[i].is_none()).collect();
         crashed.sort_by_key(|&i| devices[i].id());
         for i in crashed {
+            order.push(i);
             let (dev, f, frequency, planned_compute_finish, planned_upload, compute_finish, compute_energy) =
                 resolved[i];
             outcomes.push(DeviceOutcome {
@@ -477,11 +480,7 @@ impl FaultedRound {
         let round_time = if deadline_fired { deadline.expect("fired") } else { natural };
         if deadline_fired {
             let t = round_time.get();
-            for o in &mut outcomes {
-                let i = devices
-                    .iter()
-                    .position(|d| d.id() == o.device)
-                    .expect("outcome ids come from the input set");
+            for (o, &i) in outcomes.iter_mut().zip(&order) {
                 if o.delivered && o.upload_end.get() > t {
                     o.delivered = false;
                     o.abort = Some(AbortReason::DeadlineExceeded);
@@ -505,14 +504,13 @@ impl FaultedRound {
                 }
             }
         }
-        for o in &mut outcomes {
+        for (o, &i) in outcomes.iter_mut().zip(&order) {
             o.wasted_energy = if !o.delivered {
                 o.total_energy()
             } else if o.retries > 0 {
                 // Failed attempts bought nothing; the final successful
                 // transmission did.
-                let dev = devices.iter().find(|d| d.id() == o.device).expect("from input");
-                o.upload_energy - dev.upload_energy(payload)
+                o.upload_energy - devices[i].upload_energy(payload)
             } else {
                 Joules::ZERO
             };
@@ -608,13 +606,12 @@ impl FaultedRound {
         self.outcomes.iter().map(|o| o.wasted_energy).sum()
     }
 
-    /// Records this round's profile into a metrics registry: the same
-    /// base series as the healthy timeline (`tdma.uploads`,
-    /// `tdma.queue_wait_s`, `device.energy_j`,
+    /// Records this round's base profile into a metrics registry: the
+    /// same series, with the same values on a healthy round, as
+    /// [`crate::timeline::RoundTimeline::record_metrics`]
+    /// (`tdma.uploads`, `tdma.queue_wait_s`, `device.energy_j`,
     /// `device.compute_energy_j`, `round.makespan_s`,
-    /// `round.slack_total_s`) plus the fault series `faults.fired`
-    /// (counter), `faults.wasted_energy_j` (histogram, one sample per
-    /// round), and `round.delivered` (counter).
+    /// `round.slack_total_s`). Queue waits cover channel users only.
     pub fn record_metrics(&self, registry: &mut MetricsRegistry) {
         registry.counter_add(Class::Sim, "tdma.uploads", self.uploaded_count() as u64);
         for o in &self.outcomes {
@@ -626,6 +623,12 @@ impl FaultedRound {
         }
         registry.record(Class::Sim, "round.makespan_s", self.round_time.get());
         registry.record(Class::Sim, "round.slack_total_s", self.total_slack().get());
+    }
+
+    /// Records this round's fault series: `faults.fired` (counter),
+    /// `round.delivered` (counter), and `faults.wasted_energy_j`
+    /// (histogram, one sample per round).
+    pub fn record_fault_metrics(&self, registry: &mut MetricsRegistry) {
         registry.counter_add(Class::Sim, "faults.fired", self.faults_fired() as u64);
         registry.counter_add(Class::Sim, "round.delivered", self.delivered_count() as u64);
         registry.record(Class::Sim, "faults.wasted_energy_j", self.wasted_energy().get());
@@ -823,6 +826,22 @@ mod tests {
         assert_eq!(faulted.total_slack().get().to_bits(), healthy.total_slack().get().to_bits());
         assert!(!faulted.deadline_fired());
         assert_eq!(faulted.wasted_energy(), Joules::ZERO);
+        // The base metric series is the healthy timeline's, value for
+        // value.
+        let (mut h, mut f) = (MetricsRegistry::new(), MetricsRegistry::new());
+        healthy.record_metrics(&mut h);
+        faulted.record_metrics(&mut f);
+        assert_eq!(f, h);
+    }
+
+    #[test]
+    fn repeated_device_ids_are_rejected() {
+        let devs = [device(3, 2.0, 500, 8.0), device(3, 2.0, 600, 4.0)];
+        let freqs = [Hertz::from_ghz(2.0); 2];
+        assert_eq!(
+            FaultedRound::simulate(&devs, &freqs, payload(), &[None, None], None),
+            Err(MecError::DuplicateDevice { id: DeviceId(3) })
+        );
     }
 
     #[test]
@@ -992,6 +1011,8 @@ mod tests {
         let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
         let mut registry = MetricsRegistry::new();
         r.record_metrics(&mut registry);
+        assert_eq!(registry.counter("faults.fired"), 0, "base series only");
+        r.record_fault_metrics(&mut registry);
         assert_eq!(registry.counter("tdma.uploads"), 2);
         assert_eq!(registry.counter("faults.fired"), 2);
         assert_eq!(registry.counter("round.delivered"), 2);

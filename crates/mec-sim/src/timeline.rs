@@ -93,6 +93,38 @@ pub(crate) fn sample_exemplars(n: usize, cfg: DigestConfig) -> Vec<usize> {
     indices
 }
 
+/// Maps TDMA slots back to input positions by device id, refusing
+/// repeated ids: an id search would silently resolve both slots of a
+/// repeated id to the first device.
+pub(crate) struct SlotIndex(Vec<(DeviceId, usize)>);
+
+impl SlotIndex {
+    /// Indexes `devices` by id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MecError::DuplicateDevice`] naming the smallest
+    /// repeated id.
+    pub(crate) fn new(devices: &[Device]) -> Result<Self> {
+        let mut by_id: Vec<(DeviceId, usize)> =
+            devices.iter().enumerate().map(|(i, d)| (d.id(), i)).collect();
+        by_id.sort_unstable();
+        match by_id.windows(2).find(|w| w[0].0 == w[1].0) {
+            Some(w) => Err(MecError::DuplicateDevice { id: w[0].0 }),
+            None => Ok(Self(by_id)),
+        }
+    }
+
+    /// Input position of `id`, which must come from the indexed set.
+    pub(crate) fn position(&self, id: DeviceId) -> usize {
+        let k = self
+            .0
+            .binary_search_by_key(&id, |&(d, _)| d)
+            .expect("slot devices come from the input set");
+        self.0[k].1
+    }
+}
+
 /// The resolved timeline of one synchronous round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundTimeline {
@@ -109,7 +141,8 @@ impl RoundTimeline {
     ///
     /// # Errors
     ///
-    /// Returns [`MecError::EmptyDeviceSet`] for no devices, a
+    /// Returns [`MecError::EmptyDeviceSet`] for no devices,
+    /// [`MecError::DuplicateDevice`] when two devices share an id, a
     /// [`MecError::NonPositiveParameter`] if `frequencies` length
     /// mismatches, or [`MecError::FrequencyOutOfRange`] if a frequency
     /// is unsupported by its device.
@@ -123,6 +156,7 @@ impl RoundTimeline {
                 value: frequencies.len() as f64,
             });
         }
+        let index = SlotIndex::new(devices)?;
         let mut requests = Vec::with_capacity(devices.len());
         for (dev, &f) in devices.iter().zip(frequencies) {
             requests.push(UploadRequest {
@@ -134,11 +168,8 @@ impl RoundTimeline {
         let schedule = TdmaSchedule::new(requests);
         let mut activities = Vec::with_capacity(devices.len());
         for slot in schedule.slots() {
-            let (dev, &f) = devices
-                .iter()
-                .zip(frequencies)
-                .find(|(d, _)| d.id() == slot.device)
-                .expect("slot devices come from the input set");
+            let i = index.position(slot.device);
+            let (dev, f) = (&devices[i], frequencies[i]);
             activities.push(DeviceActivity {
                 device: slot.device,
                 frequency: f,
@@ -250,34 +281,18 @@ impl RoundTimeline {
         registry.record(Class::Sim, "round.slack_total_s", self.total_slack().get());
     }
 
-    /// Attaches this round's resolved schedule to an open `timeline`
-    /// span: summary totals as attributes on `span` itself, plus one
-    /// `device_activity` child span per device carrying everything the
-    /// trace auditor needs to replay the round against the analytic
-    /// model (frequency and `f_max`, compute/upload window, energy
-    /// split). The children are zero-duration markers ended
-    /// immediately, so they never distort the parent's wall-clock
-    /// share.
+    /// Attaches a digest of this round's resolved schedule to an open
+    /// `timeline` span (see [`DigestConfig`]): summary totals plus
+    /// `digest: true` on `span` itself, one `cohort_digest` child
+    /// carrying streaming aggregates over the whole cohort (counts,
+    /// energy/slack sums and extrema, compact binary-exponent
+    /// histograms), and full `device_activity` spans — everything the
+    /// trace auditor needs to replay a device against the analytic
+    /// model — only for the exemplar devices picked by `cfg` (tagged
+    /// `exemplar: true`, emitted in channel order). The children are
+    /// zero-duration markers ended immediately.
     ///
-    /// All attribute values are pure simulation state; the emission is
-    /// a read-only projection and cannot perturb determinism.
-    pub fn trace_into(&self, span: &mut Span) {
-        self.set_summary_attrs(span);
-        for a in &self.activities {
-            Self::emit_activity(span, a, false);
-        }
-    }
-
-    /// Digest-mode variant of [`RoundTimeline::trace_into`]: summary
-    /// totals plus `digest: true` on `span` itself, one `cohort_digest`
-    /// child carrying streaming aggregates over the whole cohort
-    /// (counts, energy/slack sums and extrema, compact binary-exponent
-    /// histograms), and full `device_activity` spans only for the
-    /// exemplar devices picked by `cfg` (tagged `exemplar: true`,
-    /// emitted in channel order).
-    ///
-    /// The digest is a pure projection of the resolved timeline —
-    /// exactly the same state `trace_into` reads — so switching modes
+    /// The digest is a pure projection of the resolved timeline, so it
     /// can never perturb the simulation.
     pub fn trace_digest_into(&self, span: &mut Span, cfg: DigestConfig) {
         self.set_summary_attrs(span);
@@ -310,7 +325,7 @@ impl RoundTimeline {
                 .end();
         }
         for &i in &exemplars {
-            Self::emit_activity(span, &self.activities[i], true);
+            Self::emit_exemplar(span, &self.activities[i]);
         }
     }
 
@@ -322,9 +337,8 @@ impl RoundTimeline {
         span.set("compute_energy_j", self.compute_energy().get());
     }
 
-    fn emit_activity(span: &mut Span, a: &DeviceActivity, exemplar: bool) {
-        let mut child = span
-            .child("device_activity")
+    fn emit_exemplar(span: &mut Span, a: &DeviceActivity) {
+        span.child("device_activity")
             .with("device", a.device.to_string())
             .with("device_id", a.device.0)
             .with("f_hz", a.frequency.get())
@@ -334,11 +348,9 @@ impl RoundTimeline {
             .with("upload_end_s", a.upload_end.get())
             .with("compute_energy_j", a.compute_energy.get())
             .with("compute_energy_at_max_j", a.compute_energy_at_max.get())
-            .with("upload_energy_j", a.upload_energy.get());
-        if exemplar {
-            child = child.with("exemplar", true);
-        }
-        child.end();
+            .with("upload_energy_j", a.upload_energy.get())
+            .with("exemplar", true)
+            .end();
     }
 
     /// Renders the round as an ASCII Gantt chart (one row per device;
@@ -407,6 +419,17 @@ mod tests {
     fn unsupported_frequency_is_rejected() {
         let devs = [device(0, 1.0, 500, 8.0)];
         assert!(RoundTimeline::simulate(&devs, &[Hertz::from_ghz(1.5)], payload()).is_err());
+    }
+
+    #[test]
+    fn repeated_device_ids_are_rejected() {
+        // Distinct devices sharing id 3: an id lookup would report the
+        // first device's energy for both slots.
+        let devs = [device(3, 2.0, 500, 8.0), device(3, 2.0, 600, 4.0)];
+        assert_eq!(
+            RoundTimeline::simulate_at_max(&devs, payload()),
+            Err(MecError::DuplicateDevice { id: DeviceId(3) })
+        );
     }
 
     #[test]
@@ -503,45 +526,6 @@ mod tests {
             registry.histogram("round.makespan_s").unwrap().max,
             tl.makespan().get()
         );
-    }
-
-    #[test]
-    fn trace_into_emits_auditable_device_activity_spans() {
-        use helcfl_telemetry::{analyze::Trace, MemorySink, Telemetry};
-        let devs = [device(0, 2.0, 500, 8.0), device(1, 2.0, 600, 8.0)];
-        let tl = RoundTimeline::simulate_at_max(&devs, payload()).unwrap();
-        let sink = MemorySink::new();
-        let tele = Telemetry::with_sink(sink.clone());
-        {
-            let mut span = tele.span("timeline");
-            tl.trace_into(&mut span);
-        }
-        let text = sink.lines().join("\n");
-        let trace = Trace::parse(&text).unwrap();
-        let activities: Vec<_> =
-            trace.spans.iter().filter(|s| s.name == "device_activity").collect();
-        assert_eq!(activities.len(), 2);
-        let a0 = activities
-            .iter()
-            .find(|s| s.attr_str("device") == Some("v0"))
-            .expect("device 0 present");
-        assert_eq!(a0.attr_u64("device_id"), Some(0));
-        assert_eq!(a0.attr_f64("f_hz"), Some(2.0e9));
-        assert_eq!(a0.attr_f64("f_max_hz"), Some(2.0e9));
-        assert_eq!(a0.attr_f64("compute_finish_s"), Some(2.5));
-        assert_eq!(a0.attr_f64("upload_start_s"), Some(2.5));
-        assert_eq!(a0.attr_f64("upload_end_s"), Some(7.5));
-        assert!(a0.attr_f64("compute_energy_j").unwrap() > 0.0);
-        // At f_max the scaled and reference energies coincide.
-        assert_eq!(
-            a0.attr_f64("compute_energy_at_max_j"),
-            a0.attr_f64("compute_energy_j")
-        );
-        let parent = trace.span(a0.parent.unwrap()).unwrap();
-        assert_eq!(parent.name, "timeline");
-        assert_eq!(parent.attr_u64("uploads"), Some(2));
-        assert_eq!(parent.attr_f64("makespan_s"), Some(tl.makespan().get()));
-        assert_eq!(parent.attr_f64("energy_j"), Some(tl.total_energy().get()));
     }
 
     #[test]

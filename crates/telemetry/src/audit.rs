@@ -10,7 +10,7 @@
 //! to the bound (FEDL's closed-form optimum deliberately trades round
 //! delay for energy). This module re-derives each guarantee from
 //! nothing but the emitted trace: the per-device attributes on `device_activity` spans
-//! (see `RoundTimeline::trace_into` in `mec-sim`) are replayed through
+//! (see `FaultedRound::trace_into` in `mec-sim`) are replayed through
 //! an independent reimplementation of the TDMA queue, and the final
 //! metrics line is cross-checked against the span stream. A violation
 //! therefore means either the simulator or its telemetry broke — the
@@ -18,11 +18,12 @@
 //!
 //! # Fault-era traces
 //!
-//! Traces from the fault-injection engine (`FaultedRound`) extend the
-//! device spans with planned-vs-effective attributes (`f_planned_hz`,
-//! `planned_compute_finish_s`, `planned_upload_s`), delivery flags
-//! (`uploaded`, `delivered`, `retries`), `wasted_energy_j`, and a
-//! `fault` kind; the timeline span gains `fault_fired`,
+//! Traces from `FaultedRound`, the federated runner's round engine,
+//! extend the device spans with planned-vs-effective attributes
+//! (`f_planned_hz`, `planned_compute_finish_s`, `planned_upload_s`),
+//! delivery flags (`uploaded`, `delivered`, `retries`),
+//! `wasted_energy_j`, and a `fault` kind; the timeline span gains
+//! `fault_fired`,
 //! `deadline_s`/`deadline_fired`, and `selected`/`delivered` counts.
 //! Every new attribute is decoded with a backward-compatible default,
 //! so pre-fault traces audit exactly as before. On faulted rounds the
