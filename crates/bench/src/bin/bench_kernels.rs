@@ -9,6 +9,11 @@
 //! fused epilogues add a few percent more real work, so their reported
 //! rate is slightly conservative.
 //!
+//! Kernels that consume a post-ReLU activation cycle through a pool of
+//! distinct 50 %-sparse operands, one per iteration, as the engine
+//! does: a fixed operand would let the branch predictor learn its zero
+//! pattern and hide the cost of a data-dependent zero-skip branch.
+//!
 //! Results go to stdout and `results/BENCH_kernels.json`
 //! (`helcfl-trace gate` diffs two such reports on per-kernel GFLOP/s).
 //!
@@ -28,6 +33,10 @@ use tinynn::tensor::Matrix;
 /// consume activations, so the zero-skip path is exercised the way the
 /// engine exercises it.
 const ACTIVATION_SPARSITY: f64 = 0.5;
+
+/// Distinct activation operands the ReLU-sparse benches cycle through
+/// (see the module docs for why one fixed operand is not enough).
+const ACTIVATION_POOL: usize = 8;
 
 /// Per-kernel FLOP budget for the full run (`--smoke` divides by 16).
 const FLOP_BUDGET: f64 = 2.0e9;
@@ -71,7 +80,7 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
 
 /// A matrix with roughly [`ACTIVATION_SPARSITY`] of its entries zeroed
 /// and the rest positive — the value profile of a post-ReLU
-/// activation, which drives the kernels' zero-skip branch.
+/// activation, which drives the kernels' zero-skip.
 fn sparse_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
     let data: Vec<f32> = (0..rows * cols)
         .map(|_| {
@@ -136,12 +145,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chunk = random_matrix(256, 64, &mut rng); // eval chunk
     let sq = random_matrix(256, 256, &mut rng);
     let sq_b = random_matrix(256, 256, &mut rng);
+    // The rest of the activation pool, drawn last so every operand
+    // above keeps the values it has always had for a given seed.
+    let mut acts = vec![act];
+    acts.extend((1..ACTIVATION_POOL).map(|_| sparse_matrix(200, 64, &mut rng)));
 
     // Each closure owns its output buffer (the `*_into` kernels resize
     // it on first use, then reuse it allocation-free) and captures the
     // operands by shared reference.
     let mk_out = || Matrix::zeros(1, 1).expect("zeros");
-    let (x, act, w1, w2, dz, chunk, sq, sq_b) = (&x, &act, &w1, &w2, &dz, &chunk, &sq, &sq_b);
+    let (x, acts, w1, w2, dz, chunk, sq, sq_b) = (&x, &acts, &w1, &w2, &dz, &chunk, &sq, &sq_b);
     let (b1, b2) = (&b1, &b2);
     let mut benches: Vec<Bench<'_>> = vec![
         Bench {
@@ -171,7 +184,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n: 10,
             run: {
                 let mut out = mk_out();
-                Box::new(move || act.matmul_bias_into(w2, b2, &mut out).expect("fused"))
+                let mut act = acts.iter().cycle();
+                Box::new(move || {
+                    let act = act.next().expect("pool");
+                    act.matmul_bias_into(w2, b2, &mut out).expect("fused");
+                })
             },
         },
         Bench {
@@ -181,7 +198,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n: 64,
             run: {
                 let mut out = mk_out();
-                Box::new(move || act.matmul_tn_into(x, &mut out).expect("tn"))
+                let mut act = acts.iter().cycle();
+                Box::new(move || {
+                    let act = act.next().expect("pool");
+                    act.matmul_tn_into(x, &mut out).expect("tn");
+                })
             },
         },
         Bench {
@@ -191,7 +212,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n: 10,
             run: {
                 let mut out = mk_out();
-                Box::new(move || act.matmul_tn_into(dz, &mut out).expect("tn"))
+                let mut act = acts.iter().cycle();
+                Box::new(move || {
+                    let act = act.next().expect("pool");
+                    act.matmul_tn_into(dz, &mut out).expect("tn");
+                })
             },
         },
         Bench {

@@ -32,6 +32,16 @@
 //! peak, the payoff is that histories, golden CSVs, and checkpoint
 //! fingerprints are identical no matter which path ran. See DESIGN.md
 //! §17.
+//!
+//! Why the zero-skip is a mask, not a branch: the NN/TN kernels drop
+//! the addends of `±0.0` left scalars, and their left operand is often
+//! a post-ReLU activation, about half exact zeros in no learnable
+//! pattern. A branch on the scalar would mispredict on about every
+//! other scalar and cost more than the work it skips, so every vector
+//! path computes each addend and masks it off instead: a
+//! `NEQ_UQ` compare (NaN counts as nonzero) selects which lanes take
+//! `acc + s·b` and which keep `acc`. That drops exactly the addends the
+//! scalar branch drops, `0·inf` included.
 
 // Crate-wide `#![deny(unsafe_code)]` is lifted for this module only:
 // the AVX2/AVX-512 kernels are raw std::arch intrinsics. The portable
@@ -299,6 +309,22 @@ mod portable {
         }
     }
 
+    /// `acc[l] += a · brow[l]`, except that under `SKIP` a `±0.0`
+    /// scalar leaves `acc` untouched (NaN is not zero). The skip is a
+    /// per-lane bit select between the old and the new accumulator —
+    /// the portable twin of the vector paths' compare mask — so
+    /// ReLU-sparse operands cost no mispredicts. (A single scalar
+    /// `keep` flag gets unswitched back into a branch by LLVM; the
+    /// per-lane mask array does not.)
+    #[inline]
+    fn madd<const SKIP: bool>(acc: &mut [f32], a: f32, brow: &[f32]) {
+        let keep = [a; 8].map(|x| ((!SKIP || x != 0.0) as u32).wrapping_neg());
+        for ((s, &b), &k) in acc.iter_mut().zip(brow).zip(&keep) {
+            let sum = (*s + a * b).to_bits();
+            *s = f32::from_bits((sum & k) | (s.to_bits() & !k));
+        }
+    }
+
     /// One output row in 8-wide column chunks plus one narrower tail
     /// chunk. The reduction operand is `lhs[base + kk*stride]`
     /// (`stride == 1` for NN, `stride == m` for TN), exactly like the
@@ -320,13 +346,7 @@ mod portable {
             let mut acc = [0.0f32; 8];
             for kk in 0..len {
                 let a = lhs[base + kk * stride];
-                if SKIP && a == 0.0 {
-                    continue;
-                }
-                let brow = &rhs[kk * n + j..kk * n + j + 8];
-                for (s, &b) in acc.iter_mut().zip(brow) {
-                    *s += a * b;
-                }
+                madd::<SKIP>(&mut acc, a, &rhs[kk * n + j..kk * n + j + 8]);
             }
             store(&mut orow[j..j + 8], &acc, bias, j, relu);
             j += 8;
@@ -336,13 +356,7 @@ mod portable {
             let mut acc = [0.0f32; 8];
             for kk in 0..len {
                 let a = lhs[base + kk * stride];
-                if SKIP && a == 0.0 {
-                    continue;
-                }
-                let brow = &rhs[kk * n + j..kk * n + j + rem];
-                for (s, &b) in acc[..rem].iter_mut().zip(brow) {
-                    *s += a * b;
-                }
+                madd::<SKIP>(&mut acc[..rem], a, &rhs[kk * n + j..kk * n + j + rem]);
             }
             store(&mut orow[j..], &acc[..rem], bias, j, relu);
         }
@@ -419,10 +433,33 @@ mod avx512 {
         v
     }
 
+    /// The zero-skip as a lane mask: every lane takes the addend unless
+    /// `SKIP` and the broadcast scalar is `±0.0`. `NEQ_UQ` is unordered,
+    /// so NaN counts as nonzero — the scalar `if s == 0.0 { continue }`
+    /// exactly, with no data-dependent branch for ReLU-sparse operands
+    /// to mispredict.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn keep<const SKIP: bool>(av: __m512) -> __mmask16 {
+        if SKIP {
+            _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(av, _mm512_setzero_ps())
+        } else {
+            0xFFFF
+        }
+    }
+
+    /// `acc + av·bv` in the `keep` lanes, `acc` untouched in the rest:
+    /// separate multiply and add, like the scalar contract.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn madd(acc: __m512, keep: __mmask16, av: __m512, bv: __m512) -> __m512 {
+        _mm512_mask_add_ps(acc, keep, acc, _mm512_mul_ps(av, bv))
+    }
+
     /// One strip of `NV` full vectors (16·NV columns at `j0`), all
     /// rows. Per row: NV zmm accumulators live across the whole
-    /// ascending-`k` reduction; the zero test runs on the broadcast
-    /// scalar before any load, like the scalar kernel.
+    /// ascending-`k` reduction; a zero scalar masks its addend off in
+    /// every accumulator ([`keep`]) instead of branching past the loads.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     unsafe fn nn_strip<const NV: usize, const SKIP: bool>(
@@ -440,15 +477,11 @@ mod avx512 {
             let mut acc = [_mm512_setzero_ps(); NV];
             let arow = lhs.as_ptr().add(i * k);
             for kk in 0..k {
-                let s = *arow.add(kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
-                let av = _mm512_set1_ps(s);
+                let av = _mm512_set1_ps(*arow.add(kk));
+                let keep = keep::<SKIP>(av);
                 let brow = rhs.as_ptr().add(kk * n + j0);
                 for v in 0..NV {
-                    let bv = _mm512_loadu_ps(brow.add(v * 16));
-                    acc[v] = _mm512_add_ps(acc[v], _mm512_mul_ps(av, bv));
+                    acc[v] = madd(acc[v], keep, av, _mm512_loadu_ps(brow.add(v * 16)));
                 }
             }
             let orow = out.as_mut_ptr().add(i * n + j0);
@@ -461,8 +494,9 @@ mod avx512 {
 
     /// The sub-16-column tail (`rem = n - j0` lanes under `__mmask16`),
     /// four rows at a time so the masked `rhs` load is amortized across
-    /// row accumulators — this is the whole kernel for the n=10 logit
-    /// shapes, not a slow path.
+    /// row accumulators. For the n=10 logit shapes this is the whole
+    /// kernel, and its left operand is a post-ReLU activation — the
+    /// case the masked (not branched) zero-skip exists for.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     unsafe fn nn_tail<const SKIP: bool>(
@@ -485,11 +519,8 @@ mod avx512 {
             for kk in 0..k {
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(kk * n + j0));
                 for r in 0..4 {
-                    let s = *lhs.as_ptr().add((i + r) * k + kk);
-                    if SKIP && s == 0.0 {
-                        continue;
-                    }
-                    acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                    let av = _mm512_set1_ps(*lhs.as_ptr().add((i + r) * k + kk));
+                    acc[r] = madd(acc[r], keep::<SKIP>(av), av, bv);
                 }
             }
             for r in 0..4 {
@@ -501,12 +532,9 @@ mod avx512 {
         while i < m {
             let mut acc = _mm512_setzero_ps();
             for kk in 0..k {
-                let s = *lhs.as_ptr().add(i * k + kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
+                let av = _mm512_set1_ps(*lhs.as_ptr().add(i * k + kk));
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(kk * n + j0));
-                acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                acc = madd(acc, keep::<SKIP>(av), av, bv);
             }
             let cv = epilogue_masked(acc, bias, j0, mask, relu);
             _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * n + j0), mask, cv);
@@ -546,9 +574,10 @@ mod avx512 {
     /// Row `r` of `lhs` holds the `MI` reduction scalars for output
     /// rows `i0..i0+MI` *contiguously* (`lhs[r*m + i0 + t]`) — that
     /// contiguity is why TN blocks over output rows instead of walking
-    /// one strided column per row like the scalar kernel. The `rhs`
-    /// loads sit inside the skip branch: with ReLU-sparse left
-    /// operands, a skipped scalar costs one test, no loads.
+    /// one strided column per row like the scalar kernel. The `lhs` is
+    /// a ReLU-sparse activation, so its zeros are masked ([`keep`]),
+    /// not branched on: every scalar pays its loads and multiplies, and
+    /// none pays a mispredict.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     unsafe fn tn_block<const MI: usize, const NV: usize>(
@@ -566,14 +595,10 @@ mod avx512 {
             let arow = lhs.as_ptr().add(r * m + i0);
             let brow = rhs.as_ptr().add(r * n + j0);
             for t in 0..MI {
-                let s = *arow.add(t);
-                if s == 0.0 {
-                    continue;
-                }
-                let av = _mm512_set1_ps(s);
+                let av = _mm512_set1_ps(*arow.add(t));
+                let keep = keep::<true>(av);
                 for v in 0..NV {
-                    let bv = _mm512_loadu_ps(brow.add(v * 16));
-                    acc[t][v] = _mm512_add_ps(acc[t][v], _mm512_mul_ps(av, bv));
+                    acc[t][v] = madd(acc[t][v], keep, av, _mm512_loadu_ps(brow.add(v * 16)));
                 }
             }
         }
@@ -599,11 +624,8 @@ mod avx512 {
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(r * n + j0));
                 let arow = lhs.as_ptr().add(r * m + i);
                 for t in 0..4 {
-                    let s = *arow.add(t);
-                    if s == 0.0 {
-                        continue;
-                    }
-                    acc[t] = _mm512_add_ps(acc[t], _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                    let av = _mm512_set1_ps(*arow.add(t));
+                    acc[t] = madd(acc[t], keep::<true>(av), av, bv);
                 }
             }
             for t in 0..4 {
@@ -614,12 +636,9 @@ mod avx512 {
         while i < m {
             let mut acc = _mm512_setzero_ps();
             for r in 0..k {
-                let s = *lhs.as_ptr().add(r * m + i);
-                if s == 0.0 {
-                    continue;
-                }
+                let av = _mm512_set1_ps(*lhs.as_ptr().add(r * m + i));
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(r * n + j0));
-                acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                acc = madd(acc, keep::<true>(av), av, bv);
             }
             _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * n + j0), mask, acc);
             i += 1;
@@ -695,6 +714,29 @@ mod avx2 {
         v
     }
 
+    /// The zero-skip as a lane mask (all ones = take the addend): every
+    /// lane unless `SKIP` and the broadcast scalar is `±0.0`. `NEQ_UQ`
+    /// is unordered, so NaN counts as nonzero — the scalar
+    /// `if s == 0.0 { continue }` without a data-dependent branch.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn keep<const SKIP: bool>(av: __m256) -> __m256 {
+        if SKIP {
+            _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, _mm256_setzero_ps())
+        } else {
+            _mm256_castsi256_ps(_mm256_set1_epi32(-1))
+        }
+    }
+
+    /// `acc + av·bv` in the `keep` lanes, `acc` untouched in the rest
+    /// (a blend, not a masked-to-zero addend: `acc + 0.0` would not be
+    /// `acc` for `acc = -0.0`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn madd(acc: __m256, keep: __m256, av: __m256, bv: __m256) -> __m256 {
+        _mm256_blendv_ps(acc, _mm256_add_ps(acc, _mm256_mul_ps(av, bv)), keep)
+    }
+
     /// One strip of `NV` full vectors (8·NV columns at `j0`), all rows.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
@@ -713,15 +755,11 @@ mod avx2 {
             let mut acc = [_mm256_setzero_ps(); NV];
             let arow = lhs.as_ptr().add(i * k);
             for kk in 0..k {
-                let s = *arow.add(kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
-                let av = _mm256_set1_ps(s);
+                let av = _mm256_set1_ps(*arow.add(kk));
+                let keep = keep::<SKIP>(av);
                 let brow = rhs.as_ptr().add(kk * n + j0);
                 for v in 0..NV {
-                    let bv = _mm256_loadu_ps(brow.add(v * 8));
-                    acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(av, bv));
+                    acc[v] = madd(acc[v], keep, av, _mm256_loadu_ps(brow.add(v * 8)));
                 }
             }
             let orow = out.as_mut_ptr().add(i * n + j0);
@@ -757,11 +795,8 @@ mod avx2 {
             for kk in 0..k {
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(kk * n + j0), mask);
                 for r in 0..4 {
-                    let s = *lhs.as_ptr().add((i + r) * k + kk);
-                    if SKIP && s == 0.0 {
-                        continue;
-                    }
-                    acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                    let av = _mm256_set1_ps(*lhs.as_ptr().add((i + r) * k + kk));
+                    acc[r] = madd(acc[r], keep::<SKIP>(av), av, bv);
                 }
             }
             for r in 0..4 {
@@ -773,12 +808,9 @@ mod avx2 {
         while i < m {
             let mut acc = _mm256_setzero_ps();
             for kk in 0..k {
-                let s = *lhs.as_ptr().add(i * k + kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
+                let av = _mm256_set1_ps(*lhs.as_ptr().add(i * k + kk));
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(kk * n + j0), mask);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                acc = madd(acc, keep::<SKIP>(av), av, bv);
             }
             let cv = epilogue(acc, bias_v, relu);
             _mm256_maskstore_ps(out.as_mut_ptr().add(i * n + j0), mask, cv);
@@ -833,11 +865,8 @@ mod avx2 {
             let bv = _mm256_loadu_ps(rhs.as_ptr().add(r * n + j0));
             let arow = lhs.as_ptr().add(r * m + i0);
             for t in 0..MI {
-                let s = *arow.add(t);
-                if s == 0.0 {
-                    continue;
-                }
-                acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                let av = _mm256_set1_ps(*arow.add(t));
+                acc[t] = madd(acc[t], keep::<true>(av), av, bv);
             }
         }
         for t in 0..MI {
@@ -858,11 +887,8 @@ mod avx2 {
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(r * n + j0), mask);
                 let arow = lhs.as_ptr().add(r * m + i);
                 for t in 0..4 {
-                    let s = *arow.add(t);
-                    if s == 0.0 {
-                        continue;
-                    }
-                    acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                    let av = _mm256_set1_ps(*arow.add(t));
+                    acc[t] = madd(acc[t], keep::<true>(av), av, bv);
                 }
             }
             for t in 0..4 {
@@ -873,12 +899,9 @@ mod avx2 {
         while i < m {
             let mut acc = _mm256_setzero_ps();
             for r in 0..k {
-                let s = *lhs.as_ptr().add(r * m + i);
-                if s == 0.0 {
-                    continue;
-                }
+                let av = _mm256_set1_ps(*lhs.as_ptr().add(r * m + i));
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(r * n + j0), mask);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                acc = madd(acc, keep::<true>(av), av, bv);
             }
             _mm256_maskstore_ps(out.as_mut_ptr().add(i * n + j0), mask, acc);
             i += 1;

@@ -65,6 +65,23 @@ fn gen_sparse(rng: &mut Rng, rows: usize, cols: usize, sparsity: f32) -> Matrix 
     Matrix::from_vec(rows, cols, data).unwrap()
 }
 
+/// Mostly finite entries with exact `±0.0` at post-ReLU density and an
+/// occasional NaN / `±inf`, so zero-times-non-finite addends (which
+/// the zero-skip drops) occur while many outputs stay finite.
+fn gen_special(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
+    let data: Vec<f32> = (0..rows * cols)
+        .map(|_| match rng.below(64) {
+            0..=15 => 0.0,
+            16..=27 => -0.0,
+            28 => f32::NAN,
+            29 => f32::INFINITY,
+            30 => f32::NEG_INFINITY,
+            _ => rng.uniform_f32(-4.0, 4.0),
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data).unwrap()
+}
+
 /// Shape triple for one case: dimensions hug the blocking boundaries
 /// (1, WIDE−1=31, WIDE=32, WIDE+1=33, NT_BLOCK=8 multiples, …) as well
 /// as arbitrary sizes.
@@ -151,6 +168,25 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str, case: usize) {
             g.to_bits(),
             w.to_bits(),
             "case {case}: {what} differs at flat index {idx}: {g} vs {w}"
+        );
+    }
+}
+
+/// [`assert_bits_eq`] except that any NaN matches any NaN: NaN must
+/// sit at the same positions, every other value (`±0.0`, `±inf`
+/// included) must match bit for bit. When two NaNs of different sign
+/// meet in an add (an input NaN plus the negative default NaN of
+/// `0·inf`), which one survives depends on operand order, and Rust
+/// leaves that order to LLVM, which commutes adds freely — so NaN
+/// sign/payload is outside the kernel contract on every path.
+fn assert_bits_eq_up_to_nan_payload(got: &Matrix, want: &Matrix, what: &str, case: usize) {
+    assert_eq!(got.shape(), want.shape(), "case {case}: {what} shape");
+    for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "case {case}: {what} differs at flat index {idx}: {g} ({:#x}) vs {w} ({:#x})",
+            g.to_bits(),
+            w.to_bits()
         );
     }
 }
@@ -374,6 +410,79 @@ fn special_values_behave_identically_on_every_path() {
         a.matmul_bias_relu_into(&b, &bias, &mut out).unwrap();
         assert_bits_eq(&out, &scalar_relu, &format!("special relu[{}]", path.name()), case);
     }
+}
+
+/// The special-value contract on the blocked code the 3×4·4×3 case
+/// above never reaches: the 4-row NN tail block and its remainder rows
+/// (m=9, n=10), the 64- and 16-column NN strips plus a 3-lane tail
+/// (n=64+16+3), and every TN kernel — the 8-row and 1-row blocks and
+/// the masked tail (m=9, n=64/16/10). `±0.0`, NaN and `±inf` sit in
+/// both operands, so every path must drop exactly the addends the
+/// scalar branch drops (`0·inf` is NaN only if it is added). NaNs
+/// meet NaNs here, so their sign bits are not compared (see
+/// [`assert_bits_eq_up_to_nan_payload`]).
+#[test]
+fn special_values_behave_identically_in_every_blocked_kernel() {
+    const NAMES: [&str; 6] = [
+        "matmul_bias 9xkx10",
+        "matmul_bias_relu 9xkx10",
+        "matmul 9xkx83",
+        "matmul_tn 9xkx64",
+        "matmul_tn 9xkx16",
+        "matmul_tn 9xkx10",
+    ];
+    let paths = available_paths();
+    // Outputs the skip keeps finite where summing every addend gives
+    // NaN, per kernel family: proof the cases exercise the skip.
+    let (mut nn_dropped, mut tn_dropped) = (0, 0);
+    for case in 0..12 {
+        let mut rng = Rng::seed_from_u64(0x4e4e_0031 ^ case as u64);
+        let k = 3 + case % 6;
+        let a = gen_special(&mut rng, 9, k);
+        let w_logits = gen_special(&mut rng, k, 10);
+        let bias = gen_special(&mut rng, 1, 10);
+        let w_wide = gen_special(&mut rng, k, 64 + 16 + 3);
+        let at = gen_special(&mut rng, k, 9);
+        let tn_rhs: Vec<Matrix> =
+            [64, 16, 10].iter().map(|&n| gen_special(&mut rng, k, n)).collect();
+
+        let run = |path: SimdPath| -> Vec<Matrix> {
+            let _guard = PathGuard::force(path);
+            let mut out = Matrix::zeros(1, 1).unwrap();
+            let mut outs = Vec::new();
+            a.matmul_bias_into(&w_logits, bias.as_slice(), &mut out).unwrap();
+            outs.push(out.clone());
+            a.matmul_bias_relu_into(&w_logits, bias.as_slice(), &mut out).unwrap();
+            outs.push(out.clone());
+            a.matmul_into(&w_wide, &mut out).unwrap();
+            outs.push(out.clone());
+            for rhs in &tn_rhs {
+                at.matmul_tn_into(rhs, &mut out).unwrap();
+                outs.push(out.clone());
+            }
+            outs
+        };
+        let oracle = run(SimdPath::Scalar);
+        for &path in &paths[1..] {
+            for ((got, want), name) in run(path).iter().zip(&oracle).zip(NAMES) {
+                let what = format!("{name}[{}]", path.name());
+                assert_bits_eq_up_to_nan_payload(got, want, &what, case);
+            }
+        }
+
+        let dropped = |skip: &Matrix, all: &Matrix| {
+            let pairs = skip.as_slice().iter().zip(all.as_slice());
+            pairs.filter(|(s, a)| !s.is_nan() && a.is_nan()).count()
+        };
+        nn_dropped += dropped(&oracle[2], &naive_matmul(&a, &w_wide));
+        for (skip, rhs) in oracle[3..].iter().zip(&tn_rhs) {
+            tn_dropped += dropped(skip, &naive_matmul_tn(&at, rhs));
+        }
+    }
+    assert!(
+        nn_dropped > 0 && tn_dropped > 0,
+        "no skipped 0·inf/0·NaN addend: {nn_dropped} NN, {tn_dropped} TN"
+    );
 }
 
 #[test]
