@@ -143,7 +143,8 @@ echo "==> population gate: traced --smoke sweep + digest audit vs committed base
 # at 10^5 (the extra sizes become notes, not failures). Latencies at
 # the shared sizes are single-digit to double-digit microseconds, so
 # the latency tolerance is loose — the gate exists to catch the
-# indexed selector losing its complexity class, not µs-level jitter.
+# HELCFL selector (its bucketed-utility index) losing its complexity
+# class, not µs-level jitter.
 # Memory per device is deterministic and gets a tight budget. The
 # sweep runs in digest mode (--trace), and its cohort-digest trace
 # must satisfy the same schema check and analytic audit as a

@@ -3,11 +3,12 @@
 //!
 //! For each population size `Q` the harness builds a struct-of-arrays
 //! [`Fleet`](mec_sim::fleet::Fleet) (no `Vec<Device>` is ever
-//! materialized), runs the indexed HELCFL selector plus the Alg.-3
-//! slack DVFS policy over a fleet-backed context, and reports
-//! per-round latency percentiles and resident bytes per device. The
-//! first warmup round absorbs the one-time index build; measured
-//! rounds reflect the steady state a long training run lives in.
+//! materialized), runs the HELCFL selector (the same bucketed-utility
+//! index `run_federated` uses) plus the Alg.-3 slack DVFS policy over
+//! a fleet-backed context, and reports per-round latency percentiles
+//! and resident bytes per device. The first warmup round absorbs the
+//! one-time index build; measured rounds reflect the steady state a
+//! long training run lives in.
 //!
 //! The selection target scales as `min(max(Q/1000, 10), 10 000)` —
 //! the paper's `C = 0.1` would select 100 000 devices at `Q = 10^6`,
@@ -53,7 +54,7 @@ use std::time::Instant;
 use detrand::splitmix64;
 use fl_sim::frequency::FrequencyPolicy;
 use fl_sim::selection::{ClientSelector, SelectionContext};
-use helcfl::{IndexedDecaySelector, SlackFrequencyPolicy};
+use helcfl::{GreedyDecaySelector, SlackFrequencyPolicy};
 use helcfl_bench::gate::percentile_nearest_rank;
 use helcfl_bench::json::JsonObject;
 use helcfl_telemetry::Telemetry;
@@ -132,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .num_devices(q)
             .seed(args.seed)
             .build_fleet()?;
-        let mut selector = IndexedDecaySelector::default();
+        let mut selector = GreedyDecaySelector::default();
         // Warmup: round 1 pays the one-time index build; later warmup
         // rounds settle counters into their steady-state spread.
         for round in 1..=warmup {

@@ -303,8 +303,8 @@ pub fn gate_kernels(
 /// Tolerances for [`gate_population`]. Latency percentiles at small
 /// populations are single-digit microseconds, so relative noise is
 /// large; the defaults catch a complexity-class regression (the
-/// indexed selector silently falling back to rescans), not scheduler
-/// jitter.
+/// HELCFL selector's index silently falling back to rescans), not
+/// scheduler jitter.
 #[derive(Debug, Clone, Copy)]
 pub struct PopulationGateConfig {
     /// Max allowed growth in per-round p50/p99 latency, percent.

@@ -1,12 +1,16 @@
-//! End-to-end bit-identity of the indexed selector: a full fast-scale
-//! HELCFL run (IndexedDecaySelector + SlackFrequencyPolicy) must
-//! produce a training history byte-identical to the committed golden
-//! CSV — the same artifact `ci.sh` pins the reference pipeline
-//! against — and to a reference-selector run of the same setup.
+//! End-to-end bit-identity of the production Alg. 2 selector: a full
+//! fast-scale HELCFL run (GreedyDecaySelector + SlackFrequencyPolicy)
+//! must produce a training history byte-identical to the committed
+//! golden CSV — the same artifact `ci.sh` pins the pipeline against —
+//! and to a run of the same setup driven by the full-rescan oracle.
+
+#[path = "../../core/tests/support/reference_selector.rs"]
+mod reference_selector;
 
 use fl_sim::runner::run_federated;
-use helcfl::{GreedyDecaySelector, IndexedDecaySelector, SlackFrequencyPolicy};
+use helcfl::{GreedyDecaySelector, SlackFrequencyPolicy};
 use helcfl_bench::scenario::{PaperScenario, Setting};
+use reference_selector::ReferenceSelector;
 
 #[test]
 fn indexed_selector_reproduces_the_golden_history() {
@@ -14,9 +18,9 @@ fn indexed_selector_reproduces_the_golden_history() {
     let config = scenario.training_config();
 
     let mut setup = scenario.setup(Setting::Iid).unwrap();
-    let mut indexed = IndexedDecaySelector::default();
+    let mut selector = GreedyDecaySelector::default();
     let history =
-        run_federated(&mut setup, &config, &mut indexed, &SlackFrequencyPolicy).unwrap();
+        run_federated(&mut setup, &config, &mut selector, &SlackFrequencyPolicy).unwrap();
 
     // The CSV embeds the scheme name per row; name parity ("helcfl")
     // is part of the byte identity being asserted here.
@@ -28,13 +32,13 @@ fn indexed_selector_reproduces_the_golden_history() {
     assert_eq!(
         history.to_csv(),
         golden,
-        "indexed selector diverged from the golden history"
+        "production selector diverged from the golden history"
     );
 
-    // And against a same-process reference run, for a diagnosable
+    // And against a same-process oracle run, for a diagnosable
     // failure mode should the golden file ever be regenerated.
     let mut setup = scenario.setup(Setting::Iid).unwrap();
-    let mut reference = GreedyDecaySelector::default();
+    let mut reference = ReferenceSelector::default();
     let ref_history =
         run_federated(&mut setup, &config, &mut reference, &SlackFrequencyPolicy).unwrap();
     assert_eq!(history.to_csv(), ref_history.to_csv());

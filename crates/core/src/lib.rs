@@ -7,10 +7,8 @@
 //! - [`utility`] — the utility function of Eq. 20 with its decay
 //!   coefficient and appearance counters,
 //! - [`selection`] — Algorithm 2, the utility-driven greedy-decay user
-//!   selection,
-//! - [`indexed`] — Algorithm 2 at fleet scale: the bucketed-utility
-//!   index with pick-for-pick-identical selections at O(N log B) per
-//!   round,
+//!   selection, on a bucketed-utility index that scales to fleet-size
+//!   populations,
 //! - [`dvfs`] — Algorithm 3, the DVFS slack-time operating-frequency
 //!   determination,
 //! - [`framework`] — Algorithm 1, the assembled two-phase framework,
@@ -57,14 +55,12 @@
 
 pub mod dvfs;
 pub mod framework;
-pub mod indexed;
 pub mod selection;
 pub mod theory;
 pub mod utility;
 
 pub use dvfs::SlackFrequencyPolicy;
 pub use framework::Helcfl;
-pub use indexed::IndexedDecaySelector;
 pub use selection::GreedyDecaySelector;
 pub use utility::DecayCoefficient;
 
@@ -75,7 +71,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<crate::Helcfl>();
         assert_send_sync::<crate::GreedyDecaySelector>();
-        assert_send_sync::<crate::IndexedDecaySelector>();
         assert_send_sync::<crate::SlackFrequencyPolicy>();
     }
 }
